@@ -8,11 +8,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, metrics
 from .harness import ExperimentConfig, read_rows, run_experiment, summarize, write_rows
-from .operators import eigenstate_measurements, load_basis, load_record, save_basis, save_record
+from .operators import load_basis, load_record, save_basis, save_record
 from .optimizer import SolveConfig, solve_hamiltonian
 
 EXIT_OK = 0
@@ -38,19 +36,16 @@ def _config_dict(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_gen(args) -> int:
+    """Write the basis and record of every row `exp` would solve, named by row id."""
     cfg = _load_experiment_config(args.config, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for i in range(cfg.num_instances):
-        rng = harness._gen_rng(cfg.seed, i)
-        basis, c_true = harness._draw_instance(cfg, rng)
-        k = cfg.eigen_index_policy
-        if not isinstance(k, int):
-            k = int(rng.integers(basis.dim))
-        record = eigenstate_measurements(basis, c_true, k, seed=cfg.seed, basis_ref=f"basis_{i:04d}")
-        save_basis(basis, out / f"basis_{i:04d}.json")
-        save_record(record, out / f"record_{i:04d}.json")
-    print(f"wrote {cfg.num_instances} instance(s) to {out}")
+    tasks = harness._row_tasks(cfg)
+    for row_id, instance_index, eigen_index in tasks:
+        basis, record = harness.draw_instance(cfg, row_id, instance_index, eigen_index)
+        save_basis(basis, out / f"basis_{row_id:04d}.json")
+        save_record(record, out / f"record_{row_id:04d}.json")
+    print(f"wrote {len(tasks)} instance(s) to {out}")
     return EXIT_OK
 
 
@@ -73,6 +68,8 @@ def cmd_solve(args) -> int:
         "iterations_total": result.iterations_total,
         "converged": result.converged,
         "ground_prob_final": result.ground_prob_final,
+        "gap_first_initial": result.gap_first_initial,
+        "gap_first_final": result.gap_first_final,
     }
     if record.truth is not None:
         payload["report"] = metrics.report(basis, result, record).to_json()

@@ -187,36 +187,35 @@ def _row_tasks(cfg: ExperimentConfig) -> list:
     return tasks
 
 
-def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index) -> ResultRow:
-    t0 = time.perf_counter()
+def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index):
+    """(basis, record) of one suite row; eigen_index None draws a random level.
+
+    The Hamiltonian comes from the instance's generator stream, so the rows of
+    a level sweep share it. A degenerate target level is redrawn, and a sweep
+    redraws until every level is separated.
+    """
     rng = _gen_rng(cfg.seed, instance_index)
     sweep = eigen_index is not None and (cfg.preset == "level_sweep" or cfg.eigen_index_policy == "all")
-    record = None
-    basis = None
+    basis_ref = f"basis_{row_id:04d}"
     for _ in range(MAX_REDRAWS):
         basis, c_true = _draw_instance(cfg, rng)
         if sweep and not _all_levels_separated(basis, c_true):
             continue  # a sweep needs every level non-degenerate; redraw the Hamiltonian
-        k = eigen_index
-        try:
-            if k is None:
-                for _ in range(MAX_REDRAWS):
-                    k = int(rng.integers(basis.dim))
-                    try:
-                        record = eigenstate_measurements(basis, c_true, k, seed=cfg.seed)
-                        break
-                    except DegenerateEigenstateError:
-                        k = None
-                if record is None:
-                    continue
-            else:
-                record = eigenstate_measurements(basis, c_true, k, seed=cfg.seed)
-        except DegenerateEigenstateError:
-            continue
-        break
-    if record is None:
-        raise RuntimeError(f"could not draw a non-degenerate instance after {MAX_REDRAWS} attempts")
+        if eigen_index is None:
+            levels = (int(rng.integers(basis.dim)) for _ in range(MAX_REDRAWS))
+        else:
+            levels = (eigen_index,)
+        for k in levels:
+            try:
+                return basis, eigenstate_measurements(basis, c_true, k, seed=cfg.seed, basis_ref=basis_ref)
+            except DegenerateEigenstateError:
+                pass
+    raise RuntimeError(f"could not draw a non-degenerate instance after {MAX_REDRAWS} attempts")
 
+
+def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index) -> ResultRow:
+    t0 = time.perf_counter()
+    basis, record = draw_instance(cfg, row_id, instance_index, eigen_index)
     solve_seed = _instance_seed(cfg.seed, row_id, 1)
     solve_cfg = SolveConfig(**{**cfg.solve.__dict__, "seed": solve_seed})
     result = solve_hamiltonian(basis, record.a, solve_cfg)

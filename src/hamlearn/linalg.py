@@ -13,9 +13,6 @@ import numpy as np
 import scipy.linalg
 
 HERMITIAN_TOL = 1e-10
-# Eigenvalue pairs closer than this use the midpoint rule in the
-# divided-difference table to avoid catastrophic cancellation.
-DEGENERACY_TOL = 1e-8
 
 MAX_DIM = 256
 
@@ -75,23 +72,21 @@ def exp_neg_hermitian(x) -> np.ndarray:
 
 
 def _divided_difference_table(w: np.ndarray) -> np.ndarray:
-    """Phi[k,l] = (e^{w_k} - e^{w_l}) / (w_k - w_l), with the midpoint rule
-    e^{(w_k+w_l)/2} on (near-)coincident pairs."""
-    dw = w[:, None] - w[None, :]
+    """Phi[k,l] = (e^{w_k} - e^{w_l}) / (w_k - w_l), and e^{w_k} where w_k = w_l.
+
+    Evaluated as e^{hi} expm1(lo - hi) / (lo - hi) with hi, lo the larger and
+    smaller of w_k, w_l: accurate to round-off at every gap, exactly
+    symmetric, and expm1 of a non-positive argument cannot overflow.
+    """
     ew = np.exp(w)
-    near = np.abs(dw) < DEGENERACY_TOL
-    safe = np.where(near, 1.0, dw)
-    phi = (ew[:, None] - ew[None, :]) / safe
-    mid = np.exp((w[:, None] + w[None, :]) / 2)
-    return np.where(near, mid, phi)
+    dw = -np.abs(w[:, None] - w[None, :])
+    tie = dw == 0
+    ratio = np.where(tie, 1.0, np.expm1(dw) / np.where(tie, 1.0, dw))
+    return np.maximum(ew[:, None], ew[None, :]) * ratio
 
 
 def frechet_exp_factored(w: np.ndarray, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Directional derivative of exp at X = U diag(w) U^dag in direction E.
-
-    Callers that already hold the eigendecomposition (the gradient hot loop
-    reuses one factorization across all directions) enter here directly.
-    """
+    """Directional derivative of exp at X = U diag(w) U^dag in direction E."""
     phi = _divided_difference_table(w)
     m = u.conj().T @ e @ u
     return u @ (phi * m) @ u.conj().T

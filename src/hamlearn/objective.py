@@ -6,8 +6,9 @@ temperature: a converged x equals sqrt(beta) * c) is
     f(x) = sum_i (tr(A_i rho(x)) - a_i)^2 + tr(Hs^2 rho(x)),
 
 with Hs = sum_i x_i (A_i - a_i I) and rho = exp(-Hs^2) / tr exp(-Hs^2).
-The gradient is forward-propagated through the intermediate values
-v2..v10 (one matrix-exponential directional derivative per coefficient).
+f depends on x only through v3 = Hs^2, so the gradient is one reverse-mode
+(adjoint) pass: the single d x d adjoint G = df/dv3, built in the eigenbasis
+of v3, gives every component as grad_k = tr(B_k (Hs G + G Hs)).
 """
 
 from __future__ import annotations
@@ -82,20 +83,13 @@ def build_shifted_terms(basis: OperatorBasis, a: Sequence[float]) -> list:
     return [term - ai * eye for term, ai in zip(basis.terms, a)]
 
 
-def _real_trace(value: complex, scale: float = 1.0) -> float:
-    """Real part of a trace that is real in exact arithmetic.
+def _real_traces(values: np.ndarray, scales=1.0) -> np.ndarray:
+    """Real parts of an array of traces that are real in exact arithmetic.
 
-    scale carries the conditioning of the expression (product of operand
+    scales carries the conditioning of each expression (product of operand
     norms); the imaginary residue is judged against it, since traces of large
     nearly-cancelling products legitimately carry round-off of that size.
     """
-    if abs(value.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(value.real), scale):
-        raise RuntimeError(f"trace expected real, imaginary residue {value.imag:.3e}")
-    return value.real
-
-
-def _real_traces(values: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Vectorized form of _real_trace for arrays of guarded traces."""
     bound = IMAG_RESIDUE_TOL * np.maximum(1.0, np.maximum(np.abs(values.real), scales))
     residue = np.abs(values.imag)
     if np.any(residue > bound):
@@ -117,8 +111,12 @@ class ReconstructionObjective:
     def __init__(self, basis: OperatorBasis, a: Sequence[float]):
         self.basis = basis
         self.a = np.asarray(a, dtype=float)
-        self.shifted_terms = build_shifted_terms(basis, self.a)
-        self._b_stack = np.asarray(self.shifted_terms, dtype=complex)
+        d, m = basis.dim, basis.size
+        self._b_stack = np.asarray(build_shifted_terms(basis, self.a), dtype=complex)
+        # flattened stacks: tr(X_j Y) for every j is one product with Y^T raveled
+        self._b_flat = self._b_stack.reshape(m, d * d)
+        self._a_flat = np.asarray(basis.terms, dtype=complex).reshape(m, d * d)
+        self._b_norms = np.linalg.norm(self._b_flat, axis=1)
         self._cache_key: Optional[bytes] = None
         self._cache: Optional[dict] = None
 
@@ -135,10 +133,7 @@ class ReconstructionObjective:
         key = x.tobytes()
         if self._cache_key == key:
             return self._cache
-        d = self.basis.dim
-        v2 = np.zeros((d, d), dtype=complex)
-        for xi, b in zip(x, self.shifted_terms):
-            v2 += xi * b
+        v2 = np.tensordot(x, self._b_stack, axes=1)
         v3 = v2 @ v2
         lam, u = np.linalg.eigh(v3)
         mu = lam[0]
@@ -147,9 +142,7 @@ class ReconstructionObjective:
         v4s = (u * wexp) @ u.conj().T
         v6 = v4s / v5s
         v6 = (v6 + v6.conj().T) / 2
-        v7 = np.empty(self.size)
-        for j, term in enumerate(self.basis.terms):
-            v7[j] = _real_trace(linalg.trace_product(term, v6)) - self.a[j]
+        v7 = _real_traces(self._a_flat @ v6.T.ravel()) - self.a
         v8 = float(v7 @ v7)
         # tr(v3 v6) in the shared eigenbasis; v3 is PSD, so clip the tiny
         # negative eigh round-off (visible at ||x|| ~ 1e2+) to keep f >= 0
@@ -178,47 +171,37 @@ class ReconstructionObjective:
         return self._forward(np.asarray(x, dtype=float))["f"]
 
     def gradient(self, x) -> np.ndarray:
-        """Exact gradient by forward propagation, one direction per coefficient.
+        """Exact gradient by one adjoint (reverse-mode) pass.
 
-        Everything is evaluated in the eigenbasis of v3: with P_k = U^dag B_k U
-        and Q = sum_i x_i P_i, the derivative of v3 along coefficient k is
-        represented by M_k = P_k Q + Q P_k, the derivative of the shifted
-        exponential by T_k = Phi * (-M_k) (Phi the divided-difference table),
-        and every downstream quantity is a trace against diagonal weights.
-        The spectral shift mu is held fixed during differentiation; rho and
-        every downstream node are invariant under the shift, so the result is
-        the exact derivative.
+        With r = v7, the derivative of f along a Hermitian change D of v3 is
+        tr(G D), where, in the eigenbasis U of v3 (primes),
+
+            W = sum_j 2 r_j A_j + v3,   W~ = W - tr(W rho) I,
+            G' = (diag(wexp) - Phi * W~') / v5s,
+
+        Phi being the divided-difference table of exp at the shifted spectrum
+        -(lam - mu); the Frechet derivative of exp at a Hermitian matrix is
+        self-adjoint under the trace inner product, which moves it onto W~.
+        Coefficient k changes v3 by B_k Hs + Hs B_k, so
+        grad_k = tr(B_k S) with S = Hs G + G Hs and G = U G' U^dag. The
+        spectral shift mu cancels in rho and every downstream node, so
+        holding it fixed gives the exact derivative.
         """
         fwd = self._forward(np.asarray(x, dtype=float))
-        lam, u, mu = fwd["lam"], fwd["u"], fwd["mu"]
-        v5s, v7, wexp = fwd["v5s"], fwd["v7"], fwd["wexp"]
-        xvec = fwd["x"]
-        d = self.basis.dim
-        phi = linalg._divided_difference_table(-(lam - mu))
+        lam, u, wexp, v5s = fwd["lam"], fwd["u"], fwd["wexp"], fwd["v5s"]
+        phi = linalg._divided_difference_table(-(lam - fwd["mu"]))
         uh = u.conj().T
-        p = uh @ (self._b_stack @ u)  # (m, d, d), batched over directions
-        q = np.tensordot(xvec, p, axes=1)
-        m_arr = p @ q + q @ p
-        t_arr = -phi[np.newaxis] * m_arr
-        # A_j = B_j + a_j I, so its eigenbasis representation is P_j + a_j I
-        a_rep = p + self.a[:, np.newaxis, np.newaxis] * np.eye(d)
-        a_norms = np.linalg.norm(a_rep, axis=(1, 2))
-        norm_m = np.linalg.norm(m_arr, axis=(1, 2))
-        norm_t = np.linalg.norm(t_arr, axis=(1, 2))
-        # t_j = tr(A_j v4s), used in the quotient-rule term of d(tr A_j rho)
-        t = np.einsum("jii,i->j", a_rep, wexp).real
-        v9u = float(np.sum(lam * wexp)) / v5s  # unclipped tr(v3 rho)
-        lam_scale = float(np.max(np.abs(lam))) if d else 0.0
-        dv5s = _real_traces(np.einsum("kii->k", t_arr), norm_t)
-        tr_a_t = _real_traces(  # tr(A_j T_k) for every (j, k)
-            np.einsum("jab,kba->jk", a_rep, t_arr), np.outer(a_norms, norm_t)
-        )
-        dv7 = tr_a_t / v5s - np.outer(t, dv5s) / v5s**2
-        dv8 = 2 * v7 @ dv7
-        tr_dv3_v6 = _real_traces(np.einsum("kii,i->k", m_arr, wexp), norm_m) / v5s
-        tr_v3_dv4s = _real_traces(np.einsum("kii,i->k", t_arr, lam), lam_scale * norm_t)
-        dv9 = tr_dv3_v6 + tr_v3_dv4s / v5s - v9u * dv5s / v5s
-        grad = dv8 + dv9
+        # sum_j 2 r_j B_j differs from sum_j 2 r_j A_j by a multiple of I,
+        # which the centring on tr(W rho) removes
+        w_rep = uh @ np.tensordot(2.0 * fwd["v7"], self._b_stack, axes=1) @ u
+        diag = np.diag_indices_from(w_rep)
+        w_diag = w_rep[diag].real + lam
+        w_rep[diag] = w_diag - (w_diag @ wexp) / v5s
+        g_rep = -phi * w_rep
+        g_rep[diag] += wexp
+        hg = fwd["v2"] @ (u @ (g_rep / v5s) @ uh)
+        s = hg + hg.conj().T
+        grad = _real_traces(self._b_flat @ s.T.ravel(), self._b_norms * np.linalg.norm(s))
         fwd["grad"] = grad
         return grad.copy()
 
@@ -255,15 +238,3 @@ class ReconstructionObjective:
 def density_matrix(basis: OperatorBasis, a, x) -> np.ndarray:
     """rho(x) = exp(-Hs^2) / tr exp(-Hs^2)."""
     return ReconstructionObjective(basis, a)._forward(np.asarray(x, dtype=float))["v6"].copy()
-
-
-def evaluate(basis: OperatorBasis, a, x) -> float:
-    return ReconstructionObjective(basis, a).value(x)
-
-
-def gradient(basis: OperatorBasis, a, x) -> np.ndarray:
-    return ReconstructionObjective(basis, a).gradient(x)
-
-
-def diagnostics(basis: OperatorBasis, a, x) -> Diagnostics:
-    return ReconstructionObjective(basis, a).diagnostics(x)

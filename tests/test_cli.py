@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
+from hamlearn.operators import load_basis, load_record
 
 
 @pytest.fixture
@@ -69,6 +70,60 @@ class TestGenSolve:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert "x_opt" in payload
+
+    @pytest.mark.parametrize(
+        "policy, num_instances", [("random", 3), ("all", 1)], ids=["generic", "all_levels"]
+    )
+    def test_gen_then_solve_reproduces_exp(self, tmp_path, capsys, policy, num_instances):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "preset": "generic",
+                    "n_qubits": 2,
+                    "num_instances": num_instances,
+                    "seed": 11,
+                    "m_terms": 2,
+                    "eigen_index_policy": policy,
+                    "solve": {"max_restarts": 20},
+                }
+            )
+        )
+        rows_path, out_dir = tmp_path / "rows.jsonl", tmp_path / "instances"
+        main(["exp", "--config", str(cfg_path), "--out", str(rows_path)])
+        assert main(["gen", "--config", str(cfg_path), "--out", str(out_dir)]) == EXIT_OK
+        rows = [json.loads(line) for line in rows_path.read_text().splitlines() if line]
+        assert len(rows) == (4 if policy == "all" else num_instances)
+        for row in rows:
+            i = row.pop("instance_id")
+            row.pop("wall_ms")
+            basis_path, record_path = out_dir / f"basis_{i:04d}.json", out_dir / f"record_{i:04d}.json"
+            result_path = tmp_path / f"result_{i:04d}.json"
+            code = main(
+                ["solve", "--basis", str(basis_path), "--measurements", str(record_path),
+                 "--config", str(cfg_path), "--seed", str(row["seed"]), "--out", str(result_path)]
+            )
+            payload = json.loads(result_path.read_text())
+            assert code == (EXIT_OK if payload["converged"] else EXIT_NOT_CONVERGED)
+            basis, record = load_basis(basis_path), load_record(record_path)
+            solved = {
+                "n": basis.n_qubits,
+                "m": basis.size,
+                "eigen_index": record.truth.eigen_index,
+                "f_final": payload["f_final"],
+                "grad_norm": payload["grad_norm_final"],
+                "restarts": payload["restarts_used"],
+                "iterations": payload["iterations_total"],
+                "ground_prob_final": payload["ground_prob_final"],
+                "gap_first_initial": payload["gap_first_initial"],
+                "gap_first_final": payload["gap_first_final"],
+                "converged": payload["converged"],
+                "seed": row["seed"],
+                **{k: payload["report"][k] for k in ("fidelity", "abs_fidelity", "lambda_hat", "state_overlap")},
+            }
+            assert solved == row
+        if policy == "all":
+            assert sorted(r["eigen_index"] for r in rows) == [0, 1, 2, 3]
 
 
 class TestExp:

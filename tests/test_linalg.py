@@ -1,5 +1,7 @@
 """Unit tests for the dense Hermitian matrix kernels."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -117,13 +119,27 @@ class TestFrechetDerivative:
                 assert np.linalg.norm(a - b) < 1e-10
 
     def test_degenerate_spectrum(self):
-        # repeated eigenvalues exercise the midpoint rule
+        # repeated eigenvalues exercise the exact-tie entries of the table
         x = np.diag([1.0, 1.0, 2.0]).astype(complex)
         rng = np.random.default_rng(21)
         e = random_hermitian(3, rng)
         out = linalg.frechet_exp(x, e)
         ref = linalg.frechet_exp(x, e, method="augmented_block")
         assert np.linalg.norm(out - ref) < 1e-10
+
+    def test_divided_differences_near_ties(self):
+        # a cutoff below which pairs count as equal loses up to ~5e-9 just
+        # above it; the table must stay at round-off for every gap
+        for base in (-30.0, -5.0, 0.0, 2.0):
+            for gap in np.logspace(-12, -6, 31):
+                w = np.array([base + gap, base])
+                exact_gap = w[0] - w[1]
+                ref = math.exp(base) * math.expm1(exact_gap) / exact_gap
+                phi = linalg._divided_difference_table(w)
+                assert abs(phi[0, 1] - ref) <= 1e-14 * ref
+                assert phi[0, 1] == phi[1, 0]
+        phi = linalg._divided_difference_table(np.array([-1.5, -1.5]))
+        assert np.all(phi == math.exp(-1.5))
 
     def test_linearity(self):
         rng = np.random.default_rng(17)

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from hamlearn import linalg
 from hamlearn import objective as obj_mod
 from hamlearn.objective import (
     ReconstructionObjective,
@@ -89,6 +91,71 @@ class TestGradient:
             obj.value([np.nan])
 
 
+def exact_gradient(obj, x):
+    """Reference gradient, independent of the adjoint pass: forward mode with
+    one augmented-block Frechet derivative of exp per coordinate, and rho
+    from scipy's expm instead of an eigendecomposition."""
+    basis, d = obj.basis, obj.basis.dim
+    eye = np.eye(d)
+    b = [t - ai * eye for t, ai in zip(basis.terms, obj.a)]
+    hs = sum(xi * bi for xi, bi in zip(x, b))
+    v3 = hs @ hs
+    base = np.eye(d) * np.linalg.eigvalsh(v3)[0] - v3  # shifted: exp(base) cannot underflow
+    base = (base + base.conj().T) / 2
+    ex = scipy.linalg.expm(base)
+    z = np.trace(ex).real
+    rho = ex / z
+    r = np.array([np.trace(t @ rho).real for t in basis.terms]) - obj.a
+    grad = np.empty(len(x))
+    for k, bk in enumerate(b):
+        dv3 = bk @ hs + hs @ bk
+        dex = linalg.frechet_exp(base, -dv3, method="augmented_block")
+        drho = dex / z - ex * np.trace(dex).real / z**2
+        grad[k] = (
+            sum(2 * rj * np.trace(t @ drho).real for rj, t in zip(r, basis.terms))
+            + np.trace(dv3 @ rho).real
+            + np.trace(v3 @ drho).real
+        )
+    return grad
+
+
+def relative_error(g, ref):
+    return np.linalg.norm(g - ref) / np.linalg.norm(ref)
+
+
+class TestGradientOracle:
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_matches_exact_reference(self, d):
+        rng = np.random.default_rng(200 + d)
+        # m >= 2: with one term, x along the truth drives the gradient to
+        # round-off and a relative error says nothing
+        for m in (2, 3):
+            basis = basis_generic(d, m, rng)
+            rec = eigenstate_measurements(basis, rng.uniform(0, 1, m), int(rng.integers(d)))
+            obj = ReconstructionObjective(basis, rec.a)
+            for norm in (0.3, 1.0, 3.0, 10.0, 30.0):
+                x = rng.normal(size=m)
+                x *= norm / np.linalg.norm(x)
+                assert relative_error(obj.gradient(x), exact_gradient(obj, x)) < 1e-10
+
+    def test_near_degenerate_pair(self):
+        # Hs = H(x) - (x . a) I; placing x . a a hair off the midpoint of two
+        # adjacent eigenvalues of H(x) makes the two lowest levels of Hs^2
+        # differ by about 2e-9.
+        rng = np.random.default_rng(211)
+        d, m = 8, 3
+        basis = basis_generic(d, m, rng)
+        x = rng.normal(size=m) * 2
+        h = np.linalg.eigvalsh(sum(xi * t for xi, t in zip(x, basis.terms)))
+        shift = (h[3] + h[4]) / 2 + 1e-9 / (h[4] - h[3])
+        a = rng.uniform(-1, 1, m)
+        a[0] = (shift - x[1:] @ a[1:]) / x[0]
+        obj = ReconstructionObjective(basis, a)
+        spectrum = obj.diagnostics(x).spectrum
+        assert 0 < spectrum[1] - spectrum[0] < 1e-8
+        assert relative_error(obj.gradient(x), exact_gradient(obj, x)) < 1e-10
+
+
 class TestDensityMatrix:
     def test_invariants(self):
         rng = np.random.default_rng(107)
@@ -156,11 +223,11 @@ class TestShiftedTerms:
 
 class TestRealTraceGuard:
     def test_accepts_small_residue(self):
-        assert obj_mod._real_trace(1.0 + 1e-12j) == 1.0
+        assert obj_mod._real_traces(np.array([1.0 + 1e-12j]))[0] == 1.0
 
     def test_rejects_large_residue(self):
         with pytest.raises(RuntimeError):
-            obj_mod._real_trace(1.0 + 1e-3j)
+            obj_mod._real_traces(np.array([1.0 + 1e-3j]))
 
     def test_scale_widens_tolerance(self):
-        assert obj_mod._real_trace(1.0 + 1e-3j, scale=1e6) == 1.0
+        assert obj_mod._real_traces(np.array([1.0 + 1e-3j]), np.array([1e6]))[0] == 1.0
