@@ -1,15 +1,9 @@
 """Hamiltonian coefficient reconstruction from single-eigenstate expectation
 values, via a thermal-state objective with exact matrix-valued gradients."""
 
-from .linalg import (
-    HermitianEigen,
-    eig_hermitian,
-    exp_neg_hermitian,
-    frechet_exp,
-    hermitize,
-)
+from .linalg import frechet_exp
 from .metrics import ReconstructionReport, hamiltonian_fidelity, recover_eigenstate, recover_eigenvalue, report
-from .objective import Diagnostics, GraphEval, ReconstructionObjective, build_shifted_terms
+from .objective import Diagnostics, GraphEval, ReconstructionObjective
 from .operators import (
     LatticeSpec,
     MeasurementRecord,
@@ -25,11 +19,7 @@ from .optimizer import SolveConfig, SolveResult, bfgs_minimize, solve_hamiltonia
 from .harness import ExperimentConfig, ResultRow, run_experiment, summarize
 
 __all__ = [
-    "HermitianEigen",
-    "eig_hermitian",
-    "exp_neg_hermitian",
     "frechet_exp",
-    "hermitize",
     "ReconstructionReport",
     "hamiltonian_fidelity",
     "recover_eigenstate",
@@ -38,7 +28,6 @@ __all__ = [
     "Diagnostics",
     "GraphEval",
     "ReconstructionObjective",
-    "build_shifted_terms",
     "LatticeSpec",
     "MeasurementRecord",
     "OperatorBasis",

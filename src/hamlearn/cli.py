@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import harness, metrics
@@ -21,18 +22,8 @@ EXIT_NOT_CONVERGED = 2
 def _load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(path)
     if seed_override is not None:
-        cfg = ExperimentConfig.from_dict({**_config_dict(cfg), "seed": seed_override})
+        cfg = replace(cfg, seed=seed_override)
     return cfg
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    obj = dict(cfg.__dict__)
-    if obj.get("lattice") is not None:
-        lat = obj["lattice"]
-        obj["lattice"] = {"num_qubits": lat.num_qubits, "edges": [list(e) for e in lat.edges]}
-    if obj.get("solve") is not None:
-        obj["solve"] = dict(obj["solve"].__dict__)
-    return obj
 
 
 def cmd_gen(args) -> int:
@@ -52,13 +43,9 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     basis = load_basis(args.basis)
     record = load_record(args.measurements)
-    solve_cfg = SolveConfig()
-    if args.config:
-        with open(args.config) as fh:
-            obj = json.load(fh)
-        solve_cfg = SolveConfig.from_dict(obj.get("solve", obj))
+    solve_cfg = _load_experiment_config(args.config).solve if args.config else SolveConfig()
     if args.seed is not None:
-        solve_cfg = SolveConfig.from_dict({**solve_cfg.__dict__, "seed": args.seed})
+        solve_cfg = replace(solve_cfg, seed=args.seed)
     result = solve_hamiltonian(basis, record.a, solve_cfg)
     payload = {
         "x_opt": result.x_opt.tolist(),

@@ -13,16 +13,18 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from . import metrics
 from .operators import (
+    GAP_TOL,
     DegenerateEigenstateError,
     LatticeSpec,
     OperatorBasis,
+    assemble,
     basis_generic,
     basis_two_local,
     eigenstate_measurements,
@@ -31,6 +33,9 @@ from .optimizer import SolveConfig, solve_hamiltonian
 
 PRESETS = ("generic", "local_full", "local_chain", "level_sweep", "custom")
 MAX_REDRAWS = 10
+
+HIST_BINS = 20
+HIST_RANGE = (0.99, 1.0)
 
 RESULT_FIELDS = (
     "instance_id",
@@ -162,8 +167,6 @@ def _draw_instance(cfg: ExperimentConfig, rng: np.random.Generator):
 
 
 def _all_levels_separated(basis: OperatorBasis, c_true: np.ndarray) -> bool:
-    from .operators import GAP_TOL, assemble
-
     w = np.linalg.eigvalsh(assemble(basis, c_true))
     return bool(np.all(np.diff(w) > GAP_TOL))
 
@@ -207,7 +210,7 @@ def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen
             levels = (eigen_index,)
         for k in levels:
             try:
-                return basis, eigenstate_measurements(basis, c_true, k, seed=cfg.seed, basis_ref=basis_ref)
+                return basis, eigenstate_measurements(basis, c_true, k, basis_ref=basis_ref)
             except DegenerateEigenstateError:
                 pass
     raise RuntimeError(f"could not draw a non-degenerate instance after {MAX_REDRAWS} attempts")
@@ -217,8 +220,7 @@ def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_inde
     t0 = time.perf_counter()
     basis, record = draw_instance(cfg, row_id, instance_index, eigen_index)
     solve_seed = _instance_seed(cfg.seed, row_id, 1)
-    solve_cfg = SolveConfig(**{**cfg.solve.__dict__, "seed": solve_seed})
-    result = solve_hamiltonian(basis, record.a, solve_cfg)
+    result = solve_hamiltonian(basis, record.a, replace(cfg.solve, seed=solve_seed))
     rep = metrics.report(basis, result, record)
     wall_ms = (time.perf_counter() - t0) * 1000.0
     return ResultRow(
@@ -254,13 +256,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     return rows
 
 
-def summarize(rows, bins: int = 20, bin_range=(0.99, 1.0)) -> dict:
+def summarize(rows) -> dict:
     """Aggregate fidelity statistics and histogram counts over the rows."""
     if not rows:
         raise ValueError("no rows to summarize")
     dicts = [r.to_json() if isinstance(r, ResultRow) else dict(r) for r in rows]
     fid = np.array([r["abs_fidelity"] for r in dicts])
-    counts, edges = np.histogram(fid, bins=bins, range=bin_range)
+    counts, edges = np.histogram(fid, bins=HIST_BINS, range=HIST_RANGE)
     return {
         "count": len(dicts),
         "mean_abs_fidelity": float(np.mean(fid)),
@@ -270,7 +272,7 @@ def summarize(rows, bins: int = 20, bin_range=(0.99, 1.0)) -> dict:
         "histogram": {
             "bin_edges": edges.tolist(),
             "counts": counts.tolist(),
-            "below_range": int(np.sum(fid < bin_range[0])),
+            "below_range": int(np.sum(fid < HIST_RANGE[0])),
         },
     }
 

@@ -7,21 +7,11 @@ always affordable.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
-import scipy.linalg
 
 HERMITIAN_TOL = 1e-10
 
 MAX_DIM = 256
-
-
-class HermitianEigen(NamedTuple):
-    """Spectral data of a Hermitian matrix: ascending eigenvalues, unitary U."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_square(mat) -> np.ndarray:
@@ -38,37 +28,12 @@ def as_square(mat) -> np.ndarray:
     return a
 
 
-def hermiticity_deviation(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = as_square(a)
-    dev = hermiticity_deviation(a)
+    dev = float(np.max(np.abs(a - a.conj().T)))
     if dev > tol:
         raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {dev:.3e} > {tol:.1e}")
     return a
-
-
-def hermitize(e) -> np.ndarray:
-    """Return E + E^dagger, which is Hermitian for any square E."""
-    e = as_square(e)
-    return e + e.conj().T
-
-
-def eig_hermitian(a) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = check_hermitian(a)
-    w, u = np.linalg.eigh(a)
-    return HermitianEigen(w, u)
-
-
-def exp_neg_hermitian(x) -> np.ndarray:
-    """exp(-X) for Hermitian X via eigendecomposition."""
-    w, u = eig_hermitian(x)
-    out = (u * np.exp(-w)) @ u.conj().T
-    # symmetrize away eigh round-off so the result is exactly Hermitian
-    return (out + out.conj().T) / 2
 
 
 def _divided_difference_table(w: np.ndarray) -> np.ndarray:
@@ -85,21 +50,16 @@ def _divided_difference_table(w: np.ndarray) -> np.ndarray:
     return np.maximum(ew[:, None], ew[None, :]) * ratio
 
 
-def frechet_exp_factored(w: np.ndarray, u: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Directional derivative of exp at X = U diag(w) U^dag in direction E."""
-    phi = _divided_difference_table(w)
-    m = u.conj().T @ e @ u
-    return u @ (phi * m) @ u.conj().T
-
-
 def frechet_exp(x, e, method: str = "divided_difference") -> np.ndarray:
     """d/dt exp(X + tE) at t = 0 for Hermitian X and E.
 
     method:
-      divided_difference -- closed form through the eigendecomposition of X.
+      divided_difference -- closed form through the eigendecomposition
+                            X = U diag(w) U^dag: U (Phi * U^dag E U) U^dag.
       augmented_block    -- exponentiate the 2d x 2d block matrix
                             [[X, E], [0, X]]; the derivative is its top-right
-                            block. Kept as an independent cross-check route.
+                            block. Kept as an independent cross-check route,
+                            and the only code that loads scipy.
     """
     x = check_hermitian(x)
     e = as_square(e)
@@ -107,8 +67,11 @@ def frechet_exp(x, e, method: str = "divided_difference") -> np.ndarray:
         raise ValueError(f"dimension mismatch: X is {x.shape}, E is {e.shape}")
     if method == "divided_difference":
         w, u = np.linalg.eigh(x)
-        return frechet_exp_factored(w, u, e)
+        uh = u.conj().T
+        return u @ (_divided_difference_table(w) * (uh @ e @ u)) @ uh
     if method == "augmented_block":
+        import scipy.linalg
+
         d = x.shape[0]
         g = np.zeros((2 * d, 2 * d), dtype=complex)
         g[:d, :d] = x

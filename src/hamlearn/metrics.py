@@ -9,10 +9,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .operators import MeasurementRecord, OperatorBasis, assemble
+from .operators import GAP_TOL, MeasurementRecord, OperatorBasis, assemble
 from .optimizer import SolveResult
-
-GAP_TOL = 1e-8
 
 
 @dataclass
@@ -68,11 +66,7 @@ def recover_eigenstate(basis: OperatorBasis, x, a) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0:
         raise ValueError("coefficient vector is zero")
-    a = np.asarray(a, dtype=float)
-    eye = np.eye(basis.dim)
-    hs = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for xi, term, ai in zip(x, basis.terms, a):
-        hs += xi * (term - ai * eye)
+    hs = assemble(basis, x) - (x @ np.asarray(a, dtype=float)) * np.eye(basis.dim)
     w, u = np.linalg.eigh(hs @ hs)
     if basis.dim > 1 and w[1] - w[0] < GAP_TOL:
         warnings.warn(

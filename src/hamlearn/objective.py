@@ -40,21 +40,6 @@ class GraphEval:
     v10: float  # f = v8 + v9
     grad: Optional[np.ndarray] = None
 
-    def to_json(self) -> dict:
-        return {
-            "x": self.x.tolist(),
-            "v2": linalg.matrix_to_json(self.v2),
-            "v3": linalg.matrix_to_json(self.v3),
-            "v4": linalg.matrix_to_json(self.v4),
-            "v5": self.v5,
-            "v6": linalg.matrix_to_json(self.v6),
-            "v7": self.v7.tolist(),
-            "v8": self.v8,
-            "v9": self.v9,
-            "v10": self.v10,
-            "grad": None if self.grad is None else self.grad.tolist(),
-        }
-
 
 @dataclass
 class Diagnostics:
@@ -62,7 +47,6 @@ class Diagnostics:
 
     spectrum: np.ndarray
     ground_prob: float
-    gaps: np.ndarray
 
 
 def first_positive_gap(spectrum: np.ndarray, tol: float = 1e-12) -> float:
@@ -72,15 +56,6 @@ def first_positive_gap(spectrum: np.ndarray, tol: float = 1e-12) -> float:
         if g > tol:
             return float(g)
     return 0.0
-
-
-def build_shifted_terms(basis: OperatorBasis, a: Sequence[float]) -> list:
-    """B_i = A_i - a_i I; these are also the per-coefficient derivatives of Hs."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (basis.size,):
-        raise ValueError(f"measurement vector length {a.shape} != basis size {basis.size}")
-    eye = np.eye(basis.dim)
-    return [term - ai * eye for term, ai in zip(basis.terms, a)]
 
 
 def _real_traces(values: np.ndarray, scales=1.0) -> np.ndarray:
@@ -112,7 +87,11 @@ class ReconstructionObjective:
         self.basis = basis
         self.a = np.asarray(a, dtype=float)
         d, m = basis.dim, basis.size
-        self._b_stack = np.asarray(build_shifted_terms(basis, self.a), dtype=complex)
+        if self.a.shape != (m,):
+            raise ValueError(f"measurement vector length {self.a.shape} != basis size {m}")
+        # B_i = A_i - a_i I, also the per-coefficient derivatives of Hs
+        eye = np.eye(d)
+        self._b_stack = np.asarray([term - ai * eye for term, ai in zip(basis.terms, self.a)], dtype=complex)
         # flattened stacks: tr(X_j Y) for every j is one product with Y^T raveled
         self._b_flat = self._b_stack.reshape(m, d * d)
         self._a_flat = np.asarray(basis.terms, dtype=complex).reshape(m, d * d)
@@ -224,7 +203,7 @@ class ReconstructionObjective:
         )
 
     def diagnostics(self, x) -> Diagnostics:
-        """Spectrum of Hs^2, its gaps, and the ground-level Boltzmann weight.
+        """Spectrum of Hs^2 and the ground-level Boltzmann weight.
 
         ground_prob = e^{-E_g} / tr e^{-Hs^2}, computed in the shifted form
         1 / sum_i e^{-(E_i - E_g)} which is identical by cancellation.
@@ -232,9 +211,4 @@ class ReconstructionObjective:
         fwd = self._forward(np.asarray(x, dtype=float))
         spectrum = np.maximum(fwd["lam"], 0.0)  # Hs^2 is PSD; clip eigh round-off
         ground_prob = float(1.0 / np.sum(np.exp(-(fwd["lam"] - fwd["lam"][0]))))
-        return Diagnostics(spectrum=spectrum, ground_prob=ground_prob, gaps=np.diff(spectrum))
-
-
-def density_matrix(basis: OperatorBasis, a, x) -> np.ndarray:
-    """rho(x) = exp(-Hs^2) / tr exp(-Hs^2)."""
-    return ReconstructionObjective(basis, a)._forward(np.asarray(x, dtype=float))["v6"].copy()
+        return Diagnostics(spectrum=spectrum, ground_prob=ground_prob)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -110,7 +110,6 @@ class Truth:
     c_true: np.ndarray
     eigen_index: int
     lambda_true: float
-    seed: Optional[int] = None
 
 
 @dataclass
@@ -128,7 +127,6 @@ class MeasurementRecord:
                 "c_true": np.asarray(self.truth.c_true).tolist(),
                 "eigen_index": self.truth.eigen_index,
                 "lambda_true": self.truth.lambda_true,
-                "seed": self.truth.seed,
             }
         return {"basis_ref": self.basis_ref, "a": np.asarray(self.a).tolist(), "truth": truth}
 
@@ -141,7 +139,6 @@ class MeasurementRecord:
                 c_true=np.asarray(t["c_true"], dtype=float),
                 eigen_index=int(t["eigen_index"]),
                 lambda_true=float(t["lambda_true"]),
-                seed=t.get("seed"),
             )
         return cls(basis_ref=obj["basis_ref"], a=np.asarray(obj["a"], dtype=float), truth=truth)
 
@@ -151,7 +148,7 @@ def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     if d < 2:
         raise ValueError("dimension must be >= 2")
     e = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-    return linalg.hermitize(e)
+    return e + e.conj().T
 
 
 def embed_two_local(a4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
@@ -214,7 +211,6 @@ def eigenstate_measurements(
     basis: OperatorBasis,
     c: Sequence[float],
     eigen_index: int,
-    seed: Optional[int] = None,
     basis_ref: str = "basis",
 ) -> MeasurementRecord:
     """Measure every basis term on the eigen_index-th eigenstate of H(c).
@@ -245,7 +241,7 @@ def eigenstate_measurements(
         if abs(val.imag) > 1e-8:
             raise RuntimeError(f"expectation of Hermitian term has imaginary part {val.imag:.3e}")
         a[k] = val.real
-    truth = Truth(c_true=c.copy(), eigen_index=eigen_index, lambda_true=float(w[eigen_index]), seed=seed)
+    truth = Truth(c_true=c.copy(), eigen_index=eigen_index, lambda_true=float(w[eigen_index]))
     return MeasurementRecord(basis_ref=basis_ref, a=a, truth=truth)
 
 

@@ -72,23 +72,23 @@ class TestGenSolve:
         assert "x_opt" in payload
 
     @pytest.mark.parametrize(
-        "policy, num_instances", [("random", 3), ("all", 1)], ids=["generic", "all_levels"]
+        "policy, num_instances, solve",
+        [("random", 3, {"max_restarts": 20}), ("all", 1, {"max_restarts": 20}), ("random", 2, None)],
+        ids=["generic", "all_levels", "no_solve_key"],
     )
-    def test_gen_then_solve_reproduces_exp(self, tmp_path, capsys, policy, num_instances):
+    def test_gen_then_solve_reproduces_exp(self, tmp_path, capsys, policy, num_instances, solve):
+        cfg = {
+            "preset": "generic",
+            "n_qubits": 2,
+            "num_instances": num_instances,
+            "seed": 11,
+            "m_terms": 2,
+            "eigen_index_policy": policy,
+        }
+        if solve is not None:
+            cfg["solve"] = solve
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "preset": "generic",
-                    "n_qubits": 2,
-                    "num_instances": num_instances,
-                    "seed": 11,
-                    "m_terms": 2,
-                    "eigen_index_policy": policy,
-                    "solve": {"max_restarts": 20},
-                }
-            )
-        )
+        cfg_path.write_text(json.dumps(cfg))
         rows_path, out_dir = tmp_path / "rows.jsonl", tmp_path / "instances"
         main(["exp", "--config", str(cfg_path), "--out", str(rows_path)])
         assert main(["gen", "--config", str(cfg_path), "--out", str(out_dir)]) == EXIT_OK

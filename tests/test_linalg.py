@@ -34,13 +34,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             linalg.as_square(np.eye(d))
 
-    def test_hermitize_known_value(self):
-        e = np.array([[1.0, 2.0 + 1j], [0.0, 3.0]])
-        h = linalg.hermitize(e)
-        expected = np.array([[2.0, 2.0 + 1j], [2.0 - 1j, 6.0]])
-        assert np.allclose(h, expected)
-        assert linalg.hermiticity_deviation(h) == 0.0
-
     def test_check_hermitian_rejects(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
@@ -52,31 +45,6 @@ class TestBasics:
             a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
             b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
             assert abs(linalg.trace_product(a, b) - np.trace(a @ b)) < 1e-12
-
-
-class TestEigendecomposition:
-    def test_reconstruction(self):
-        rng = np.random.default_rng(11)
-        for d in (2, 3, 5, 8):
-            a = random_hermitian(d, rng)
-            w, u = linalg.eig_hermitian(a)
-            assert np.all(np.diff(w) >= 0)
-            assert np.allclose((u * w) @ u.conj().T, a, atol=1e-12)
-            assert np.allclose(u.conj().T @ u, np.eye(d), atol=1e-12)
-
-    def test_exp_neg_hermitian_against_expm(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = random_hermitian(4, rng)
-            ours = linalg.exp_neg_hermitian(a)
-            ref = scipy.linalg.expm(-a)
-            assert np.linalg.norm(ours - ref) < 1e-11
-            assert linalg.hermiticity_deviation(ours) == 0.0
-
-    def test_exp_neg_diagonal(self):
-        a = np.diag([0.0, 1.0, 2.0]).astype(complex)
-        out = linalg.exp_neg_hermitian(a)
-        assert np.allclose(np.diag(out), np.exp([-0.0, -1.0, -2.0]), atol=1e-14)
 
 
 class TestFrechetDerivative:
@@ -166,15 +134,6 @@ class TestFrechetDerivative:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             linalg.frechet_exp(np.eye(2), np.eye(2), method="pade")
-
-    def test_factored_matches_direct(self):
-        rng = np.random.default_rng(23)
-        x = random_hermitian(5, rng)
-        e = random_hermitian(5, rng)
-        w, u = np.linalg.eigh(x)
-        a = linalg.frechet_exp_factored(w, u, e)
-        b = linalg.frechet_exp(x, e)
-        assert np.linalg.norm(a - b) < 1e-12
 
 
 class TestSerialization:

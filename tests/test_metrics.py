@@ -16,6 +16,7 @@ from hamlearn.operators import (
     basis_generic,
     eigenstate_measurements,
 )
+from hamlearn.objective import ReconstructionObjective
 from hamlearn.optimizer import SolveConfig, solve_hamiltonian
 
 
@@ -72,6 +73,23 @@ class TestEigenstateRecovery:
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
         with pytest.raises(ValueError):
             recover_eigenstate(basis, [0.0], [1.0])
+
+    def test_matches_objective_hs(self):
+        # recover_eigenstate and the objective assemble Hs separately; on a
+        # separated ground level of Hs^2 both must give the same state
+        rng = np.random.default_rng(409)
+        checked = 0
+        for _ in range(20):
+            basis = basis_generic(8, 3, rng)
+            rec = eigenstate_measurements(basis, rng.uniform(0, 1, 3), int(rng.integers(8)))
+            x = rng.uniform(-3, 3, 3)
+            w, u = np.linalg.eigh(ReconstructionObjective(basis, rec.a).graph(x).v3)
+            if w[1] - w[0] < 1e-2:
+                continue
+            psi = recover_eigenstate(basis, x, rec.a)
+            assert abs(abs(np.vdot(u[:, 0], psi)) - 1.0) < 1e-10
+            checked += 1
+        assert checked >= 10
 
     def test_degenerate_warns(self):
         basis = OperatorBasis(dim=2, terms=[np.eye(2)], labels=["I"])

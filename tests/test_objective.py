@@ -6,12 +6,7 @@ import scipy.linalg
 
 from hamlearn import linalg
 from hamlearn import objective as obj_mod
-from hamlearn.objective import (
-    ReconstructionObjective,
-    build_shifted_terms,
-    density_matrix,
-    first_positive_gap,
-)
+from hamlearn.objective import ReconstructionObjective, first_positive_gap
 from hamlearn.operators import PAULI_Z, OperatorBasis, basis_generic, eigenstate_measurements
 
 
@@ -164,7 +159,7 @@ class TestDensityMatrix:
             c = rng.uniform(0, 1, 3)
             rec = eigenstate_measurements(basis, c, int(rng.integers(8)))
             x = rng.uniform(-1, 1, 3)
-            rho = density_matrix(basis, rec.a, x)
+            rho = ReconstructionObjective(basis, rec.a).graph(x).v6
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert abs(np.trace(rho).imag) < 1e-12
             assert np.linalg.norm(rho - rho.conj().T) < 1e-12
@@ -187,9 +182,8 @@ class TestGraphAndDiagnostics:
         assert abs(g.v10 - (g.v8 + g.v9)) < 1e-14
         assert np.allclose(g.v3, g.v2 @ g.v2)
         assert abs(np.trace(g.v6).real - 1.0) < 1e-12
-        payload = g.to_json()
-        assert payload["v5"] > 0
-        assert payload["x"] == [0.7]
+        assert g.v5 > 0
+        assert np.array_equal(g.x, [0.7])
 
     def test_diagnostics(self):
         obj = sigma_z_objective()
@@ -198,7 +192,7 @@ class TestGraphAndDiagnostics:
         assert np.all(diag.spectrum >= 0)
         assert 0 < diag.ground_prob <= 1
         # Hs^2 = diag(0, 4) at x = 1
-        assert abs(diag.gaps[0] - 4.0) < 1e-12
+        assert abs(diag.spectrum[1] - diag.spectrum[0] - 4.0) < 1e-12
 
     def test_ground_prob_saturates(self):
         obj = sigma_z_objective()
@@ -211,14 +205,14 @@ class TestGraphAndDiagnostics:
 
 class TestShiftedTerms:
     def test_values(self):
-        basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
-        (b,) = build_shifted_terms(basis, [1.0])
+        # Hs at x = (1) is the single shifted term B = A - a I
+        b = sigma_z_objective().graph([1.0]).v2
         assert np.allclose(b, np.diag([0.0, -2.0]))
 
     def test_length_check(self):
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
         with pytest.raises(ValueError):
-            build_shifted_terms(basis, [1.0, 2.0])
+            ReconstructionObjective(basis, [1.0, 2.0])
 
 
 class TestRealTraceGuard:

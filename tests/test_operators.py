@@ -163,10 +163,9 @@ class TestMeasurements:
         rng = np.random.default_rng(61)
         basis = basis_generic(4, 2, rng)
         c = rng.uniform(0, 1, 2)
-        rec = eigenstate_measurements(basis, c, 2, seed=99, basis_ref="b0")
+        rec = eigenstate_measurements(basis, c, 2, basis_ref="b0")
         assert rec.basis_ref == "b0"
         assert rec.truth.eigen_index == 2
-        assert rec.truth.seed == 99
         assert np.array_equal(rec.truth.c_true, c)
 
     def test_degenerate_rejected(self):
@@ -197,13 +196,26 @@ class TestSerialization:
         rng = np.random.default_rng(71)
         basis = basis_generic(4, 2, rng)
         c = rng.uniform(0, 1, 2)
-        rec = eigenstate_measurements(basis, c, 1, seed=5)
+        rec = eigenstate_measurements(basis, c, 1)
         path = tmp_path / "record.json"
         operators.save_record(rec, path)
         back = operators.load_record(path)
         assert np.array_equal(back.a, rec.a)
         assert back.truth.eigen_index == 1
         assert back.truth.lambda_true == rec.truth.lambda_true
+
+    def test_record_with_seed_key_loads(self):
+        # record files written by earlier versions carry a truth "seed" key
+        payload = {
+            "basis_ref": "b",
+            "a": [0.5, -0.25],
+            "truth": {"c_true": [0.1, 0.2], "eigen_index": 1, "lambda_true": 0.3, "seed": 7},
+        }
+        back = MeasurementRecord.from_json(payload)
+        assert np.array_equal(back.a, [0.5, -0.25])
+        assert back.truth.eigen_index == 1
+        assert back.truth.lambda_true == 0.3
+        assert "seed" not in back.to_json()["truth"]
 
     def test_record_without_truth(self):
         rec = MeasurementRecord(basis_ref="b", a=np.array([0.5]))

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamlearn.objective import ReconstructionObjective, density_matrix
+from hamlearn.objective import ReconstructionObjective
 from hamlearn.operators import basis_generic, eigenstate_measurements
 
 
@@ -46,7 +46,7 @@ def test_sign_symmetry(inst):
 @given(instances())
 def test_density_matrix_is_a_state(inst):
     basis, a, x = inst
-    rho = density_matrix(basis, a, x)
+    rho = ReconstructionObjective(basis, a).graph(x).v6
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.array_equal(rho, rho.conj().T)
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
