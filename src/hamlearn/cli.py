@@ -70,10 +70,10 @@ def cmd_solve(args) -> int:
 
 def cmd_exp(args) -> int:
     cfg = _load_experiment_config(args.config, args.seed)
-    rows = run_experiment(cfg, threads=args.threads)
     out = args.out or cfg.out_path
     if out is None:
         raise ValueError("no output path: pass --out or set out_path in the config")
+    rows = run_experiment(cfg, threads=args.threads)
     write_rows(rows, out, fmt=args.format)
     summary = summarize(rows)
     print(json.dumps(summary, indent=2))

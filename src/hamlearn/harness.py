@@ -123,7 +123,9 @@ class ExperimentConfig:
                 num_qubits=int(lat["num_qubits"]),
                 edges=tuple(tuple(e) for e in lat["edges"]),
             )
-        if "solve" in obj and obj["solve"] is not None:
+        if obj.get("solve") is None:  # null means the default settings, like an absent key
+            obj.pop("solve", None)
+        else:
             obj["solve"] = SolveConfig.from_dict(obj["solve"])
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known

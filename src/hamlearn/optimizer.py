@@ -100,8 +100,13 @@ def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
 
     phi(a)/dphi(a) evaluate the restricted objective and its slope; g0 < 0 is
     required. Returns (alpha, f_alpha). Raises _LineSearchFailure when the
-    evaluation budget runs out without an acceptable step.
+    evaluation budget runs out without an acceptable step, or when zoom's
+    bracket can no longer tell two steps apart: either its width is below
+    1e-16 * max(1, |a_lo|), or the largest change of f it can hold,
+    width * |g0|, is within one unit of round-off of f0 (Moré & Thuente's
+    "rounding errors prevent progress").
     """
+    eps = np.finfo(float).eps
     evals = [0]
 
     def take(a):
@@ -117,7 +122,7 @@ def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
             width = hi - lo
             if a is None or not (lo + 0.05 * width < a < hi - 0.05 * width):
                 a = 0.5 * (a_lo + a_hi)
-            if width < 1e-16 * max(1.0, abs(a_lo)):
+            if width < 1e-16 * max(1.0, abs(a_lo)) or width * -g0 <= eps * f0:
                 raise _LineSearchFailure
             fa, ga = take(a)
             if fa > f0 + c1 * a * g0 or fa >= f_lo:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hamlearn import cli
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
 from hamlearn.operators import load_basis, load_record
 
@@ -23,6 +24,9 @@ def exp_config(tmp_path):
         )
     )
     return path
+
+
+NO_SOLVE_KEY = object()
 
 
 class TestGenSolve:
@@ -73,8 +77,13 @@ class TestGenSolve:
 
     @pytest.mark.parametrize(
         "policy, num_instances, solve",
-        [("random", 3, {"max_restarts": 20}), ("all", 1, {"max_restarts": 20}), ("random", 2, None)],
-        ids=["generic", "all_levels", "no_solve_key"],
+        [
+            ("random", 3, {"max_restarts": 20}),
+            ("all", 1, {"max_restarts": 20}),
+            ("random", 2, NO_SOLVE_KEY),
+            ("random", 2, None),
+        ],
+        ids=["generic", "all_levels", "no_solve_key", "solve_null"],
     )
     def test_gen_then_solve_reproduces_exp(self, tmp_path, capsys, policy, num_instances, solve):
         cfg = {
@@ -85,7 +94,7 @@ class TestGenSolve:
             "m_terms": 2,
             "eigen_index_policy": policy,
         }
-        if solve is not None:
+        if solve is not NO_SOLVE_KEY:
             cfg["solve"] = solve
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -144,6 +153,15 @@ class TestExp:
         summary = json.loads(capsys.readouterr().out)
         assert summary["count"] == 2
 
+    def test_solve_null_means_defaults(self, tmp_path, exp_config, capsys):
+        cfg = json.loads(exp_config.read_text())
+        cfg["solve"] = None
+        exp_config.write_text(json.dumps(cfg))
+        out_path = tmp_path / "rows.jsonl"
+        code = main(["exp", "--config", str(exp_config), "--out", str(out_path)])
+        assert code == EXIT_OK
+        assert len([l for l in out_path.read_text().splitlines() if l]) == 2
+
     def test_csv_format(self, tmp_path, exp_config, capsys):
         out_path = tmp_path / "rows.csv"
         code = main(["exp", "--config", str(exp_config), "--out", str(out_path), "--format", "csv"])
@@ -166,3 +184,15 @@ class TestErrors:
     def test_exp_without_out(self, tmp_path, exp_config, capsys):
         code = main(["exp", "--config", str(exp_config)])
         assert code == EXIT_CONFIG_ERROR
+
+    def test_exp_without_out_solves_nothing(self, exp_config, capsys, monkeypatch):
+        calls = []
+
+        def run_experiment(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("solved a suite with nowhere to write it")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        assert main(["exp", "--config", str(exp_config)]) == EXIT_CONFIG_ERROR
+        assert "no output path" in capsys.readouterr().err
+        assert calls == []

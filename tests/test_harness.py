@@ -59,6 +59,10 @@ class TestConfig:
         assert cfg.lattice == LatticeSpec(3, ((1, 2), (2, 3)))
         assert cfg.solve.max_restarts == 10
 
+    def test_from_dict_solve_null_is_default(self):
+        base = {"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 1}
+        assert ExperimentConfig.from_dict({**base, "solve": None}).solve == SolveConfig()
+
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 1, "mystery": 1})

@@ -7,6 +7,8 @@ from hamlearn.objective import ReconstructionObjective
 from hamlearn.operators import PAULI_Z, OperatorBasis, basis_generic, eigenstate_measurements
 from hamlearn.optimizer import (
     SolveConfig,
+    _LineSearchFailure,
+    _wolfe_search,
     bfgs_minimize,
     check_measurement_range,
     solve_hamiltonian,
@@ -40,6 +42,38 @@ class TestSolveConfig:
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError):
             SolveConfig.from_dict({"epsilon": 1e-8})
+
+
+class _Counted:
+    """phi(a) that counts its calls; the line search pairs each with one dphi."""
+
+    def __init__(self, phi):
+        self.phi, self.calls = phi, 0
+
+    def __call__(self, a):
+        self.calls += 1
+        return self.phi(a)
+
+
+class TestWolfeSearch:
+    def test_round_off_flat_line_fails_fast(self):
+        # a line that is stationary to round-off: f rises by 1e-13 at every
+        # a > 0, which no step can undercut, and the slope is 1e-16 * f0
+        phi = _Counted(lambda a: 0.25 if a == 0 else 0.25 + 1e-13)
+        with pytest.raises(_LineSearchFailure):
+            _wolfe_search(phi, lambda a: -1e-16, 0.25, -1e-16, 1e-4, 0.9, 60)
+        assert phi.calls <= 5
+
+    @pytest.mark.parametrize(
+        "c, s, alpha, evals",
+        [(0.3, 1.0, 0.30000000000000004, 2), (0.01, 10.0, 0.009999999999999981, 5), (20.0, 1.0, 2.0, 2)],
+    )
+    def test_quadratic_steps_unchanged(self, c, s, alpha, evals):
+        # phi(a) = s (a - c)^2 / 2 + 1: zooms down to c, or extends past a = 1
+        phi = _Counted(lambda a: 0.5 * s * (a - c) ** 2 + 1.0)
+        a, fa = _wolfe_search(phi, lambda a: s * (a - c), 0.5 * s * c * c + 1.0, -s * c, 1e-4, 0.9, 60)
+        assert (a, phi.calls) == (alpha, evals)
+        assert fa == phi.phi(a)
 
 
 class TestBfgs:
