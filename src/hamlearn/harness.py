@@ -29,7 +29,7 @@ from .operators import (
     basis_two_local,
     eigenstate_measurements,
 )
-from .optimizer import SolveConfig, solve_hamiltonian
+from .optimizer import SolveConfig, require_int, solve_hamiltonian
 
 PRESETS = ("generic", "local_full", "local_chain", "level_sweep", "custom")
 MAX_REDRAWS = 10
@@ -99,17 +99,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
-        if self.num_instances < 1:
-            raise ValueError("num_instances must be >= 1")
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
+        require_int("num_instances", self.num_instances, 1)
+        require_int("n_qubits", self.n_qubits, 1)
+        require_int("seed", self.seed, 0)
+        if self.m_terms is not None:
+            require_int("m_terms", self.m_terms)
         if self.preset == "generic":
             if self.m_terms is None or self.m_terms < 1:
                 raise ValueError("generic preset requires m_terms >= 1")
         if self.preset == "custom" and self.lattice is None:
             raise ValueError("custom preset requires an explicit lattice")
         pol = self.eigen_index_policy
-        if not (pol in ("random", "all") or isinstance(pol, int)):
+        if not (pol in ("random", "all") or (isinstance(pol, int) and not isinstance(pol, bool))):
             raise ValueError(f"bad eigen_index_policy {pol!r}")
         if isinstance(pol, int) and not (0 <= pol < 2**self.n_qubits):
             raise ValueError(f"fixed eigen index {pol} out of range")
@@ -248,7 +249,8 @@ def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_inde
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
-    """Run the full suite; rows come back in instance-id order."""
+    """Run the full suite on `threads` workers; rows come back in instance-id order."""
+    require_int("threads", threads, 1)
     tasks = _row_tasks(cfg)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

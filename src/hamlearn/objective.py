@@ -38,7 +38,6 @@ class GraphEval:
     v8: float  # sum of squared residuals
     v9: float  # tr(Hs^2 rho)
     v10: float  # f = v8 + v9
-    grad: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -181,8 +180,7 @@ class ReconstructionObjective:
         hg = fwd["v2"] @ (u @ (g_rep / v5s) @ uh)
         s = hg + hg.conj().T
         grad = _real_traces(self._b_flat @ s.T.ravel(), self._b_norms * np.linalg.norm(s))
-        fwd["grad"] = grad
-        return grad.copy()
+        return grad.copy()  # contiguous, not a strided view of the complex traces
 
     def graph(self, x) -> GraphEval:
         """Full node-by-node evaluation, with v4/v5 reported unshifted."""
@@ -199,7 +197,6 @@ class ReconstructionObjective:
             v8=fwd["v8"],
             v9=fwd["v9"],
             v10=fwd["f"],
-            grad=None if "grad" not in fwd else fwd["grad"].copy(),
         )
 
     def diagnostics(self, x) -> Diagnostics:

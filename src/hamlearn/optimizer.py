@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -11,32 +12,37 @@ import numpy as np
 from .objective import ReconstructionObjective, first_positive_gap
 from .operators import OperatorBasis
 
+# Fixed solver settings, read at call time. Only the acceptance threshold,
+# the budgets and the seed are configurable (SolveConfig).
+EPS0 = 1e-6  # gradient-norm stationarity threshold when no f_target is given
+INIT_LOW, INIT_HIGH = -1.0, 1.0  # uniform range of each restart's x0
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient-decrease and curvature constants
+LINE_SEARCH_MAX_EVALS = 60  # objective evaluations one line search may spend
+HOPS_PER_RESTART = 12  # outward basin-hop proposals after each stall
+
+
+def require_int(name: str, value, minimum: Optional[int] = None) -> None:
+    """Raise ValueError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
 
 @dataclass
 class SolveConfig:
     eps: float = 1e-8  # objective acceptance threshold
-    eps0: float = 1e-6  # gradient-norm stationarity threshold
-    max_iters: int = 500  # per restart
+    max_iters: int = 500  # per BFGS run
     max_restarts: int = 50
-    init_low: float = -1.0
-    init_high: float = 1.0
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_step_halvings: int = 60  # line-search evaluation budget
-    hops_per_restart: int = 12  # outward basin-hop proposals after each stall
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.eps <= 0 or self.eps0 <= 0:
-            raise ValueError("eps and eps0 must be positive")
-        if not (0 < self.wolfe_c1 < self.wolfe_c2 < 1):
-            raise ValueError("need 0 < wolfe_c1 < wolfe_c2 < 1")
-        if self.max_iters < 1 or self.max_restarts < 1:
-            raise ValueError("iteration and restart budgets must be >= 1")
-        if self.hops_per_restart < 0:
-            raise ValueError("hops_per_restart must be >= 0")
-        if self.init_low >= self.init_high:
-            raise ValueError("empty initialization range")
+        if self.eps <= 0:
+            raise ValueError("eps must be positive")
+        require_int("max_iters", self.max_iters, 1)
+        require_int("max_restarts", self.max_restarts, 1)
+        if self.seed is not None:
+            require_int("seed", self.seed, 0)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SolveConfig":
@@ -55,10 +61,9 @@ class SolveResult:
     restarts_used: int
     iterations_total: int
     converged: bool
-    trace: list = field(default_factory=list)  # (f, grad_norm, ground_prob) per iteration
-    gap_first_initial: float = 0.0  # first positive gap of Hs^2 at x^(0) of the winning restart
-    gap_first_final: float = 0.0
-    ground_prob_final: float = 0.0
+    gap_first_initial: float  # first positive gap of Hs^2 at x^(0) of the winning restart
+    gap_first_final: float
+    ground_prob_final: float
 
 
 class BfgsOutcome(NamedTuple):
@@ -66,7 +71,6 @@ class BfgsOutcome(NamedTuple):
     f: float
     grad_norm: float
     iterations: int
-    stationary: bool  # False when the line search failed
     inv_hessian: np.ndarray
 
 
@@ -156,15 +160,15 @@ def bfgs_minimize(
     x0: np.ndarray,
     cfg: SolveConfig,
     f_target: Optional[float] = None,
-    callback: Optional[Callable[[np.ndarray, float, float], None]] = None,
 ) -> BfgsOutcome:
     """BFGS with the standard rank-2 inverse-Hessian update.
 
-    Stops when the gradient norm falls below cfg.eps0 (and, if f_target is
-    given, only once the objective is below it -- the flat tail of the
+    Stops once the objective is below f_target, or, when no f_target is
+    given, once the gradient norm is below EPS0 (the flat tail of the
     reconstruction objective has small gradients well before the objective
-    itself is small), when f_target is reached, at the iteration cap, or on
-    line-search failure. Always returns the best iterate seen.
+    itself is small); also at a gradient norm below 1e-12, at the iteration
+    cap, on line-search failure and past ITERATE_NORM_CAP. Always returns
+    the best iterate seen.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
@@ -173,29 +177,13 @@ def bfgs_minimize(
     h = np.eye(n)
     fx = objective(x)
     gx = grad(x)
-    best_x, best_f, best_g = x.copy(), fx, float(np.linalg.norm(gx))
+    gnorm = float(np.linalg.norm(gx))
+    best_x, best_f, best_g = x, fx, gnorm
     first_update = True
     iterations = 0
-    stationary = False
-
-    def track(xk, fk, gnorm):
-        nonlocal best_x, best_f, best_g
-        if fk < best_f:
-            best_x, best_f, best_g = xk.copy(), fk, gnorm
-        if callback is not None:
-            callback(xk, fk, gnorm)
-
-    gnorm = float(np.linalg.norm(gx))
-    track(x, fx, gnorm)
     for _ in range(cfg.max_iters):
-        if f_target is not None and fx < f_target:
-            stationary = True
-            break
-        if gnorm < cfg.eps0 and (f_target is None or fx < f_target):
-            stationary = True
-            break
-        if gnorm < 1e-12:
-            stationary = True
+        done = fx < f_target if f_target is not None else gnorm < EPS0
+        if done or gnorm < 1e-12:
             break
         p = -(h @ gx)
         slope = float(p @ gx)
@@ -220,7 +208,7 @@ def bfgs_minimize(
         a_max = max(1.0, 1e3 * (1.0 + float(np.linalg.norm(x))) / p_norm)
         try:
             alpha, f_new = _wolfe_search(
-                phi, dphi, fx, slope, cfg.wolfe_c1, cfg.wolfe_c2, cfg.max_step_halvings, a_max
+                phi, dphi, fx, slope, WOLFE_C1, WOLFE_C2, LINE_SEARCH_MAX_EVALS, a_max
             )
         except _LineSearchFailure:
             break
@@ -231,9 +219,7 @@ def bfgs_minimize(
             # far beyond any meaningful inverse-temperature scale; the matrix
             # exponentials are pure round-off out here, so abandon the restart
             break
-        g_new = g_alpha.get(alpha)
-        if g_new is None:
-            g_new = grad(x_new)
+        g_new = g_alpha[alpha]  # the search only returns steps it evaluated
         y = g_new - gx
         sy = float(s @ y)
         if sy > 1e-12:
@@ -247,19 +233,19 @@ def bfgs_minimize(
             ) * np.outer(s, s)
         x, fx, gx = x_new, f_new, g_new
         gnorm = float(np.linalg.norm(gx))
-        track(x, fx, gnorm)
-    else:
-        stationary = gnorm < cfg.eps0
-    if f_target is not None and fx < f_target:
-        stationary = True
-    return BfgsOutcome(best_x, best_f, best_g, iterations, stationary, h)
+        if fx < best_f:
+            best_x, best_f, best_g = x, fx, gnorm
+    return BfgsOutcome(best_x, best_f, best_g, iterations, h)
 
 
 def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
-    """Each a_i must lie in the numerical range of A_i (up to tolerance)."""
+    """Each a_i must be finite and lie in the numerical range of A_i (up to tolerance)."""
     a = np.asarray(a, dtype=float)
     if a.shape != (basis.size,):
         raise ValueError(f"measurement vector length {a.shape} != basis size {basis.size}")
+    if not np.all(np.isfinite(a)):
+        k = int(np.flatnonzero(~np.isfinite(a))[0])
+        raise ValueError(f"measurement a[{k}] = {a[k]} is not finite")
     for k, term in enumerate(basis.terms):
         w = np.linalg.eigvalsh(term)
         if a[k] < w[0] - 1e-10 or a[k] > w[-1] + 1e-10:
@@ -292,7 +278,7 @@ def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None
     """Random-restart outer loop: BFGS from fresh uniform draws until f < eps.
 
     Each restart that stalls above the acceptance threshold is followed by a
-    short monotone basin-hopping chain (cfg.hops_per_restart proposals from
+    short monotone basin-hopping chain (HOPS_PER_RESTART proposals from
     _hop_proposal, keeping a hop only when it improves the chain); spurious
     minimizers cluster at small norm close in angle to deeper basins, so the
     chains convert many otherwise-wasted restarts into solutions.
@@ -308,52 +294,32 @@ def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None
     rng = np.random.default_rng(cfg.seed)
 
     best: Optional[BfgsOutcome] = None
-    best_gaps = (0.0, 0.0)
-    trace: list = []
+    best_x0 = None
     iterations_total = 0
-    restarts_used = 0
-    converged = False
-    for _ in range(cfg.max_restarts):
-        restarts_used += 1
-        x0 = rng.uniform(cfg.init_low, cfg.init_high, obj.size)
-        gap_initial = first_positive_gap(obj.diagnostics(x0).spectrum)
-        run_trace: list = []
-
-        def record(xk, fk, gnorm):
-            run_trace.append((fk, gnorm, obj.diagnostics(xk).ground_prob))
-
-        outcome = bfgs_minimize(obj.value, obj.gradient, x0, cfg, f_target=cfg.eps, callback=record)
+    for restarts_used in range(1, cfg.max_restarts + 1):
+        x0 = rng.uniform(INIT_LOW, INIT_HIGH, obj.size)
+        outcome = bfgs_minimize(obj.value, obj.gradient, x0, cfg, f_target=cfg.eps)
         iterations_total += outcome.iterations
-        outcome_trace = run_trace
-        for _ in range(cfg.hops_per_restart):
+        for _ in range(HOPS_PER_RESTART):
             if outcome.f < cfg.eps:
                 break
-            prop = _hop_proposal(outcome.x, rng)
-            run_trace = []
-            hop = bfgs_minimize(
-                obj.value, obj.gradient, prop, cfg, f_target=cfg.eps, callback=record
-            )
+            hop = bfgs_minimize(obj.value, obj.gradient, _hop_proposal(outcome.x, rng), cfg, f_target=cfg.eps)
             iterations_total += hop.iterations
             if hop.f < outcome.f:
                 outcome = hop
-                outcome_trace = run_trace
         if best is None or outcome.f < best.f:
-            best = outcome
-            best_gaps = (gap_initial, first_positive_gap(obj.diagnostics(outcome.x).spectrum))
-            trace = outcome_trace
+            best, best_x0 = outcome, x0
         if outcome.f < cfg.eps:
-            converged = True
             break
-    assert best is not None
+    final = obj.diagnostics(best.x)
     return SolveResult(
         x_opt=best.x,
         f_final=best.f,
         grad_norm_final=best.grad_norm,
         restarts_used=restarts_used,
         iterations_total=iterations_total,
-        converged=converged,
-        trace=trace,
-        gap_first_initial=best_gaps[0],
-        gap_first_final=best_gaps[1],
-        ground_prob_final=obj.diagnostics(best.x).ground_prob,
+        converged=bool(best.f < cfg.eps),
+        gap_first_initial=first_positive_gap(obj.diagnostics(best_x0).spectrum),
+        gap_first_final=first_positive_gap(final.spectrum),
+        ground_prob_final=final.ground_prob,
     )

@@ -181,6 +181,45 @@ class TestErrors:
         code = main(["exp", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("num_instances", 2.5, "num_instances must be an integer"),
+            ("n_qubits", 2.0, "n_qubits must be an integer"),
+            ("eigen_index_policy", True, "bad eigen_index_policy"),
+            ("solve", {"max_restarts": 1.5}, "max_restarts must be an integer"),
+            ("solve", {"hops_per_restart": 12}, "unknown solve-config keys"),
+        ],
+        ids=["num_instances_float", "n_qubits_float", "policy_bool", "max_restarts_float", "removed_solve_key"],
+    )
+    def test_exp_rejects_bad_values(self, tmp_path, exp_config, capsys, key, value, message):
+        cfg = json.loads(exp_config.read_text())
+        cfg[key] = value
+        exp_config.write_text(json.dumps(cfg))
+        code = main(["exp", "--config", str(exp_config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_exp_rejects_threads_below_one(self, tmp_path, exp_config, capsys, threads):
+        out_path = tmp_path / "rows.jsonl"
+        code = main(["exp", "--config", str(exp_config), "--out", str(out_path), "--threads", threads])
+        assert code == EXIT_CONFIG_ERROR
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_solve_rejects_nan_measurement(self, tmp_path, exp_config, capsys):
+        out_dir = tmp_path / "instances"
+        main(["gen", "--config", str(exp_config), "--out", str(out_dir)])
+        record_path = out_dir / "record_0000.json"
+        record = json.loads(record_path.read_text())
+        record["a"][1] = float("nan")
+        record_path.write_text(json.dumps(record))  # written as the bare token NaN
+        assert "NaN" in record_path.read_text()
+        code = main(["solve", "--basis", str(out_dir / "basis_0000.json"), "--measurements", str(record_path)])
+        assert code == EXIT_CONFIG_ERROR
+        assert "a[1] = nan is not finite" in capsys.readouterr().err
+
     def test_exp_without_out(self, tmp_path, exp_config, capsys):
         code = main(["exp", "--config", str(exp_config)])
         assert code == EXIT_CONFIG_ERROR

@@ -45,6 +45,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(eigen_index_policy=4)  # out of range for 2 qubits
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"num_instances": 2.5},
+            {"n_qubits": 2.0},
+            {"n_qubits": True},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"m_terms": 2.0},
+            {"eigen_index_policy": True},
+        ],
+    )
+    def test_rejects_non_integers(self, overrides):
+        with pytest.raises(ValueError):
+            small_config(**overrides)
+
     def test_from_dict_round_trip(self):
         cfg = ExperimentConfig.from_dict(
             {
@@ -123,6 +139,11 @@ class TestRunExperiment:
             da.pop("wall_ms")
             db.pop("wall_ms")
             assert da == db
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5])
+    def test_rejects_bad_threads(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(small_config(), threads=threads)
 
     def test_threads_match_serial(self):
         cfg = small_config()

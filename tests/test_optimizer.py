@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hamlearn import optimizer
 from hamlearn.objective import ReconstructionObjective
 from hamlearn.operators import PAULI_Z, OperatorBasis, basis_generic, eigenstate_measurements
 from hamlearn.optimizer import (
@@ -19,7 +20,7 @@ class TestSolveConfig:
     def test_defaults(self):
         cfg = SolveConfig()
         assert cfg.eps == 1e-8
-        assert cfg.eps0 == 1e-6
+        assert optimizer.EPS0 == 1e-6
         assert cfg.max_iters == 500
         assert cfg.max_restarts == 50
 
@@ -27,12 +28,14 @@ class TestSolveConfig:
         "kwargs",
         [
             {"eps": 0.0},
-            {"eps0": -1.0},
-            {"wolfe_c1": 0.95, "wolfe_c2": 0.9},
             {"max_iters": 0},
             {"max_restarts": 0},
-            {"init_low": 1.0, "init_high": -1.0},
-            {"hops_per_restart": -1},
+            {"max_iters": 2.5},
+            {"max_iters": True},
+            {"max_restarts": 150.0},
+            {"seed": 1.5},
+            {"seed": False},
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -40,8 +43,9 @@ class TestSolveConfig:
             SolveConfig(**kwargs)
 
     def test_from_dict_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            SolveConfig.from_dict({"epsilon": 1e-8})
+        for obj in ({"epsilon": 1e-8}, {"hops_per_restart": 12}):
+            with pytest.raises(ValueError, match="unknown solve-config keys"):
+                SolveConfig.from_dict(obj)
 
 
 class _Counted:
@@ -87,24 +91,27 @@ class TestBfgs:
             np.array([5.0, 5.0]),
             SolveConfig(),
         )
-        assert out.stationary
+        assert out.grad_norm < optimizer.EPS0
         assert np.linalg.norm(out.x - sol) < 1e-5
 
-    def test_inverse_hessian_estimate(self):
+    def test_inverse_hessian_estimate(self, monkeypatch):
         # with a near-exact line search the BFGS matrix approaches Q^{-1}
+        monkeypatch.setattr(optimizer, "WOLFE_C2", 1e-3)
+        monkeypatch.setattr(optimizer, "EPS0", 1e-10)
         rng = np.random.default_rng(211)
         a = rng.standard_normal((3, 3))
         q = a @ a.T + 3 * np.eye(3)
-        cfg = SolveConfig(wolfe_c2=1e-3, eps0=1e-10)
         out = bfgs_minimize(
             lambda x: 0.5 * x @ q @ x,
             lambda x: q @ x,
             rng.standard_normal(3),
-            cfg,
+            SolveConfig(),
         )
         assert np.linalg.norm(out.inv_hessian - np.linalg.inv(q)) < 1e-4
 
-    def test_rosenbrock(self):
+    def test_rosenbrock(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "EPS0", 1e-8)
+
         def f(x):
             return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
 
@@ -116,21 +123,19 @@ class TestBfgs:
                 ]
             )
 
-        out = bfgs_minimize(f, g, np.array([-1.2, 1.0]), SolveConfig(eps0=1e-8))
+        out = bfgs_minimize(f, g, np.array([-1.2, 1.0]), SolveConfig())
         assert np.linalg.norm(out.x - np.ones(2)) < 1e-5
 
     def test_f_target_stops_early(self):
-        calls = []
         out = bfgs_minimize(
             lambda x: float(x @ x),
             lambda x: 2 * x,
             np.array([2.0]),
             SolveConfig(),
             f_target=1e-4,
-            callback=lambda x, f, g: calls.append(f),
         )
         assert out.f < 1e-4
-        assert out.stationary
+        assert out.grad_norm < 2e-2  # |2x| at the returned x, where x^2 < 1e-4
 
     def test_returns_best_iterate(self):
         out = bfgs_minimize(
@@ -144,17 +149,6 @@ class TestBfgs:
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError):
             bfgs_minimize(lambda x: 0.0, lambda x: x, np.array([np.inf]), SolveConfig())
-
-    def test_trace_monotone(self):
-        fs = []
-        bfgs_minimize(
-            lambda x: float(x @ x),
-            lambda x: 2 * x,
-            np.array([3.0, -4.0]),
-            SolveConfig(),
-            callback=lambda x, f, g: fs.append(f),
-        )
-        assert all(b <= a + 1e-15 for a, b in zip(fs, fs[1:]))
 
 
 class TestMeasurementRange:
@@ -171,6 +165,12 @@ class TestMeasurementRange:
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
         with pytest.raises(ValueError):
             check_measurement_range(basis, [0.1, 0.2])
+
+    @pytest.mark.parametrize("a, k", [([np.nan, 0.1], 0), ([0.1, np.inf], 1), ([0.1, -np.inf], 1)])
+    def test_rejects_non_finite(self, a, k):
+        basis = OperatorBasis(dim=2, terms=[PAULI_Z, PAULI_Z], labels=["z", "z2"])
+        with pytest.raises(ValueError, match=rf"a\[{k}\] = .* is not finite"):
+            check_measurement_range(basis, a)
 
 
 class TestSolveHamiltonian:
@@ -205,23 +205,16 @@ class TestSolveHamiltonian:
         assert r1.f_final == r2.f_final
         assert r1.restarts_used == r2.restarts_used
 
-    def test_trace_recorded(self):
-        basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
-        result = solve_hamiltonian(basis, [1.0], SolveConfig(seed=0))
-        assert len(result.trace) > 0
-        fs = [t[0] for t in result.trace]
-        assert all(b <= a + 1e-15 for a, b in zip(fs, fs[1:]))
-        assert all(0 < t[2] <= 1 for t in result.trace)
-
     def test_gap_growth(self):
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
         result = solve_hamiltonian(basis, [1.0], SolveConfig(seed=0))
         assert result.gap_first_final > result.gap_first_initial
 
-    def test_budget_exhaustion_reports(self):
+    def test_budget_exhaustion_reports(self, monkeypatch):
         # 1 restart, 1 iteration: cannot converge, but must return a result
+        monkeypatch.setattr(optimizer, "HOPS_PER_RESTART", 0)
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
-        cfg = SolveConfig(seed=0, max_restarts=1, max_iters=1, hops_per_restart=0)
+        cfg = SolveConfig(seed=0, max_restarts=1, max_iters=1)
         result = solve_hamiltonian(basis, [1.0], cfg)
         assert not result.converged
         assert result.restarts_used == 1
