@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import harness, metrics
@@ -47,19 +47,9 @@ def cmd_solve(args) -> int:
     if args.seed is not None:
         solve_cfg = replace(solve_cfg, seed=args.seed)
     result = solve_hamiltonian(basis, record.a, solve_cfg)
-    payload = {
-        "x_opt": result.x_opt.tolist(),
-        "f_final": result.f_final,
-        "grad_norm_final": result.grad_norm_final,
-        "restarts_used": result.restarts_used,
-        "iterations_total": result.iterations_total,
-        "converged": result.converged,
-        "ground_prob_final": result.ground_prob_final,
-        "gap_first_initial": result.gap_first_initial,
-        "gap_first_final": result.gap_first_final,
-    }
+    payload = {**asdict(result), "x_opt": result.x_opt.tolist()}
     if record.truth is not None:
-        payload["report"] = metrics.report(basis, result, record).to_json()
+        payload["report"] = asdict(metrics.report(basis, result, record))
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

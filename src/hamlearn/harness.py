@@ -13,7 +13,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -37,30 +37,12 @@ MAX_REDRAWS = 10
 HIST_BINS = 20
 HIST_RANGE = (0.99, 1.0)
 
-RESULT_FIELDS = (
-    "instance_id",
-    "n",
-    "m",
-    "eigen_index",
-    "fidelity",
-    "abs_fidelity",
-    "f_final",
-    "grad_norm",
-    "restarts",
-    "iterations",
-    "ground_prob_final",
-    "gap_first_initial",
-    "gap_first_final",
-    "lambda_hat",
-    "state_overlap",
-    "converged",
-    "wall_ms",
-    "seed",
-)
-
 
 @dataclass
 class ResultRow:
+    """One suite row: the row's identity, the SolveResult fields but x_opt,
+    and the ReconstructionReport fields, under the same names."""
+
     instance_id: int
     n: Optional[int]
     m: int
@@ -81,7 +63,10 @@ class ResultRow:
     seed: int
 
     def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in RESULT_FIELDS}
+        return asdict(self)
+
+
+RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
 
 
 @dataclass
@@ -225,26 +210,17 @@ def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_inde
     solve_seed = _instance_seed(cfg.seed, row_id, 1)
     result = solve_hamiltonian(basis, record.a, replace(cfg.solve, seed=solve_seed))
     rep = metrics.report(basis, result, record)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
+    solved = asdict(result)
+    del solved["x_opt"]
     return ResultRow(
         instance_id=row_id,
         n=basis.n_qubits,
         m=basis.size,
         eigen_index=record.truth.eigen_index,
-        fidelity=rep.fidelity,
-        abs_fidelity=rep.abs_fidelity,
-        f_final=result.f_final,
-        grad_norm=result.grad_norm_final,
-        restarts=result.restarts_used,
-        iterations=result.iterations_total,
-        ground_prob_final=result.ground_prob_final,
-        gap_first_initial=result.gap_first_initial,
-        gap_first_final=result.gap_first_final,
-        lambda_hat=rep.lambda_hat,
-        state_overlap=rep.state_overlap,
-        converged=result.converged,
-        wall_ms=wall_ms,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
         seed=solve_seed,
+        **solved,
+        **asdict(rep),
     )
 
 

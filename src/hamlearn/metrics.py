@@ -9,6 +9,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
+from .objective import ReconstructionObjective
 from .operators import GAP_TOL, MeasurementRecord, OperatorBasis, assemble
 from .optimizer import SolveResult
 
@@ -19,14 +20,6 @@ class ReconstructionReport:
     abs_fidelity: float
     lambda_hat: float  # eigenvalue of the unit-norm Hamiltonian
     state_overlap: Optional[float] = None
-
-    def to_json(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "abs_fidelity": self.abs_fidelity,
-            "lambda_hat": self.lambda_hat,
-            "state_overlap": self.state_overlap,
-        }
 
 
 def hamiltonian_fidelity(h1, h2) -> float:
@@ -66,8 +59,7 @@ def recover_eigenstate(basis: OperatorBasis, x, a) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0:
         raise ValueError("coefficient vector is zero")
-    hs = assemble(basis, x) - (x @ np.asarray(a, dtype=float)) * np.eye(basis.dim)
-    w, u = np.linalg.eigh(hs @ hs)
+    w, u = np.linalg.eigh(ReconstructionObjective(basis, a).graph(x).v3)
     if basis.dim > 1 and w[1] - w[0] < GAP_TOL:
         warnings.warn(
             f"ground space of Hs^2 nearly degenerate (gap {w[1] - w[0]:.3e}); "

@@ -37,8 +37,9 @@ class SolveConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        eps = self.eps
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
+            raise ValueError(f"eps must be a finite positive number, got {eps!r}")
         require_int("max_iters", self.max_iters, 1)
         require_int("max_restarts", self.max_restarts, 1)
         if self.seed is not None:
@@ -57,9 +58,9 @@ class SolveConfig:
 class SolveResult:
     x_opt: np.ndarray
     f_final: float
-    grad_norm_final: float
-    restarts_used: int
-    iterations_total: int
+    grad_norm: float
+    restarts: int  # restarts used, the winning one included
+    iterations: int  # BFGS iterations over all restarts and hops
     converged: bool
     gap_first_initial: float  # first positive gap of Hs^2 at x^(0) of the winning restart
     gap_first_final: float
@@ -295,16 +296,16 @@ def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None
 
     best: Optional[BfgsOutcome] = None
     best_x0 = None
-    iterations_total = 0
-    for restarts_used in range(1, cfg.max_restarts + 1):
+    iterations = 0
+    for restarts in range(1, cfg.max_restarts + 1):
         x0 = rng.uniform(INIT_LOW, INIT_HIGH, obj.size)
         outcome = bfgs_minimize(obj.value, obj.gradient, x0, cfg, f_target=cfg.eps)
-        iterations_total += outcome.iterations
+        iterations += outcome.iterations
         for _ in range(HOPS_PER_RESTART):
             if outcome.f < cfg.eps:
                 break
             hop = bfgs_minimize(obj.value, obj.gradient, _hop_proposal(outcome.x, rng), cfg, f_target=cfg.eps)
-            iterations_total += hop.iterations
+            iterations += hop.iterations
             if hop.f < outcome.f:
                 outcome = hop
         if best is None or outcome.f < best.f:
@@ -315,9 +316,9 @@ def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None
     return SolveResult(
         x_opt=best.x,
         f_final=best.f,
-        grad_norm_final=best.grad_norm,
-        restarts_used=restarts_used,
-        iterations_total=iterations_total,
+        grad_norm=best.grad_norm,
+        restarts=restarts,
+        iterations=iterations,
         converged=bool(best.f < cfg.eps),
         gap_first_initial=first_positive_gap(obj.diagnostics(best_x0).spectrum),
         gap_first_final=first_positive_gap(final.spectrum),

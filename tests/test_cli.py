@@ -6,6 +6,7 @@ import pytest
 
 from hamlearn import cli
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
+from hamlearn.harness import RESULT_FIELDS
 from hamlearn.operators import load_basis, load_record
 
 
@@ -75,6 +76,15 @@ class TestGenSolve:
         payload = json.loads(capsys.readouterr().out)
         assert "x_opt" in payload
 
+    def test_solve_keys_are_row_fields(self, tmp_path, exp_config):
+        out_dir, result_path = tmp_path / "instances", tmp_path / "result.json"
+        main(["gen", "--config", str(exp_config), "--out", str(out_dir)])
+        main(["solve", "--basis", str(out_dir / "basis_0000.json"), "--measurements",
+              str(out_dir / "record_0000.json"), "--seed", "0", "--out", str(result_path)])
+        payload = json.loads(result_path.read_text())
+        assert set(payload) - {"x_opt", "report"} <= set(RESULT_FIELDS)
+        assert set(payload["report"]) <= set(RESULT_FIELDS)
+
     @pytest.mark.parametrize(
         "policy, num_instances, solve",
         [
@@ -115,22 +125,10 @@ class TestGenSolve:
             payload = json.loads(result_path.read_text())
             assert code == (EXIT_OK if payload["converged"] else EXIT_NOT_CONVERGED)
             basis, record = load_basis(basis_path), load_record(record_path)
-            solved = {
-                "n": basis.n_qubits,
-                "m": basis.size,
-                "eigen_index": record.truth.eigen_index,
-                "f_final": payload["f_final"],
-                "grad_norm": payload["grad_norm_final"],
-                "restarts": payload["restarts_used"],
-                "iterations": payload["iterations_total"],
-                "ground_prob_final": payload["ground_prob_final"],
-                "gap_first_initial": payload["gap_first_initial"],
-                "gap_first_final": payload["gap_first_final"],
-                "converged": payload["converged"],
-                "seed": row["seed"],
-                **{k: payload["report"][k] for k in ("fidelity", "abs_fidelity", "lambda_hat", "state_overlap")},
-            }
-            assert solved == row
+            del payload["x_opt"]
+            report = payload.pop("report")
+            identity = {"n": basis.n_qubits, "m": basis.size, "eigen_index": record.truth.eigen_index, "seed": row["seed"]}
+            assert {**payload, **report, **identity} == row
         if policy == "all":
             assert sorted(r["eigen_index"] for r in rows) == [0, 1, 2, 3]
 
@@ -189,8 +187,10 @@ class TestErrors:
             ("eigen_index_policy", True, "bad eigen_index_policy"),
             ("solve", {"max_restarts": 1.5}, "max_restarts must be an integer"),
             ("solve", {"hops_per_restart": 12}, "unknown solve-config keys"),
+            ("solve", {"eps": "1e-8"}, "eps must be a finite positive number"),
         ],
-        ids=["num_instances_float", "n_qubits_float", "policy_bool", "max_restarts_float", "removed_solve_key"],
+        ids=["num_instances_float", "n_qubits_float", "policy_bool", "max_restarts_float", "removed_solve_key",
+             "eps_string"],
     )
     def test_exp_rejects_bad_values(self, tmp_path, exp_config, capsys, key, value, message):
         cfg = json.loads(exp_config.read_text())

@@ -75,8 +75,8 @@ class TestEigenstateRecovery:
             recover_eigenstate(basis, [0.0], [1.0])
 
     def test_matches_objective_hs(self):
-        # recover_eigenstate and the objective assemble Hs separately; on a
-        # separated ground level of Hs^2 both must give the same state
+        # on a separated ground level of Hs^2, recover_eigenstate gives the
+        # lowest eigenvector of the objective's Hs^2
         rng = np.random.default_rng(409)
         checked = 0
         for _ in range(20):

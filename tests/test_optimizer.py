@@ -36,6 +36,10 @@ class TestSolveConfig:
             {"seed": 1.5},
             {"seed": False},
             {"seed": -1},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"eps": "1e-8"},
+            {"eps": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -203,7 +207,7 @@ class TestSolveHamiltonian:
         r2 = solve_hamiltonian(basis, rec.a, SolveConfig(seed=42))
         assert np.array_equal(r1.x_opt, r2.x_opt)
         assert r1.f_final == r2.f_final
-        assert r1.restarts_used == r2.restarts_used
+        assert r1.restarts == r2.restarts
 
     def test_gap_growth(self):
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
@@ -217,4 +221,4 @@ class TestSolveHamiltonian:
         cfg = SolveConfig(seed=0, max_restarts=1, max_iters=1)
         result = solve_hamiltonian(basis, [1.0], cfg)
         assert not result.converged
-        assert result.restarts_used == 1
+        assert result.restarts == 1
