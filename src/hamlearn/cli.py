@@ -63,6 +63,11 @@ def cmd_exp(args) -> int:
     out = args.out or cfg.out_path
     if out is None:
         raise ValueError("no output path: pass --out or set out_path in the config")
+    # refuse an unwritable path before the suite runs, not after
+    if Path(out).is_dir():
+        raise ValueError(f"output path {out} is a directory")
+    if not Path(out).parent.is_dir():
+        raise ValueError(f"output directory {Path(out).parent} does not exist")
     rows = run_experiment(cfg, threads=args.threads)
     write_rows(rows, out, fmt=args.format)
     summary = summarize(rows)
@@ -116,7 +121,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

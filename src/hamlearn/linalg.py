@@ -45,8 +45,7 @@ def _divided_difference_table(w: np.ndarray) -> np.ndarray:
     """
     ew = np.exp(w)
     dw = -np.abs(w[:, None] - w[None, :])
-    tie = dw == 0
-    ratio = np.where(tie, 1.0, np.expm1(dw) / np.where(tie, 1.0, dw))
+    ratio = np.divide(np.expm1(dw), dw, out=np.ones_like(dw), where=dw != 0)
     return np.maximum(ew[:, None], ew[None, :]) * ratio
 
 

@@ -79,6 +79,11 @@ class _LineSearchFailure(Exception):
     pass
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a real 1-D vector, bit for bit np.linalg.norm(v)."""
+    return math.sqrt(v.dot(v))
+
+
 # Converged coefficient vectors sit at ||x|| of a few tens at most; beyond
 # this the squared-Hamiltonian spectrum exceeds float64 resolution.
 ITERATE_NORM_CAP = 1e5
@@ -97,7 +102,7 @@ def _cubic_minimum(a_lo, f_lo, g_lo, a_hi, f_hi, g_hi):
     if denom == 0:
         return None
     a = a_hi - (a_hi - a_lo) * (g_hi + d2 - d1) / denom
-    return a if np.isfinite(a) else None
+    return a if math.isfinite(a) else None
 
 
 def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
@@ -111,7 +116,7 @@ def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
     width * |g0|, is within one unit of round-off of f0 (Moré & Thuente's
     "rounding errors prevent progress").
     """
-    eps = np.finfo(float).eps
+    eps = math.ulp(1.0)  # machine epsilon
     evals = [0]
 
     def take(a):
@@ -178,7 +183,7 @@ def bfgs_minimize(
     h = np.eye(n)
     fx = objective(x)
     gx = grad(x)
-    gnorm = float(np.linalg.norm(gx))
+    gnorm = _norm(gx)
     best_x, best_f, best_g = x, fx, gnorm
     first_update = True
     iterations = 0
@@ -193,20 +198,19 @@ def bfgs_minimize(
             p = -gx
             slope = -float(gx @ gx)
 
-        g_alpha = {}
+        x_alpha, g_alpha = {}, {}
 
         def phi(a):
-            return objective(x + a * p)
+            xa = x_alpha[a] = x + a * p
+            return objective(xa)
 
         def dphi(a):
-            ga = grad(x + a * p)
-            g_alpha[a] = ga
+            ga = g_alpha[a] = grad(x_alpha[a])  # the search calls phi(a) first
             return float(ga @ p)
 
         # keep a single line search from jumping more than three decades past
         # the current iterate; runaway directions are cut off by the norm cap
-        p_norm = float(np.linalg.norm(p))
-        a_max = max(1.0, 1e3 * (1.0 + float(np.linalg.norm(x))) / p_norm)
+        a_max = max(1.0, 1e3 * (1.0 + _norm(x)) / _norm(p))
         try:
             alpha, f_new = _wolfe_search(
                 phi, dphi, fx, slope, WOLFE_C1, WOLFE_C2, LINE_SEARCH_MAX_EVALS, a_max
@@ -215,12 +219,12 @@ def bfgs_minimize(
             break
         iterations += 1
         s = alpha * p
-        x_new = x + s
-        if float(np.linalg.norm(x_new)) > ITERATE_NORM_CAP:
+        x_new = x_alpha[alpha]  # x + s: the search only returns steps it evaluated
+        if _norm(x_new) > ITERATE_NORM_CAP:
             # far beyond any meaningful inverse-temperature scale; the matrix
             # exponentials are pure round-off out here, so abandon the restart
             break
-        g_new = g_alpha[alpha]  # the search only returns steps it evaluated
+        g_new = g_alpha[alpha]
         y = g_new - gx
         sy = float(s @ y)
         if sy > 1e-12:
@@ -229,11 +233,10 @@ def bfgs_minimize(
                 first_update = False
             rho = 1.0 / sy
             hy = h @ y
-            h = h - rho * (np.outer(s, hy) + np.outer(hy, s)) + rho * (
-                rho * float(y @ hy) + 1.0
-            ) * np.outer(s, s)
+            s_hy = s[:, None] * hy  # np.outer(s, hy); its transpose is np.outer(hy, s)
+            h = h - rho * (s_hy + s_hy.T) + rho * (rho * float(y @ hy) + 1.0) * (s[:, None] * s)
         x, fx, gx = x_new, f_new, g_new
-        gnorm = float(np.linalg.norm(gx))
+        gnorm = _norm(gx)
         if fx < best_f:
             best_x, best_f, best_g = x, fx, gnorm
     return BfgsOutcome(best_x, best_f, best_g, iterations, h)

@@ -235,3 +235,42 @@ class TestErrors:
         assert main(["exp", "--config", str(exp_config)]) == EXIT_CONFIG_ERROR
         assert "no output path" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("where", ["missing_parent", "directory"])
+    def test_exp_unwritable_out_solves_nothing(self, tmp_path, exp_config, capsys, monkeypatch, where):
+        calls = []
+
+        def run_experiment(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("solved a suite that it cannot write")
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        out = tmp_path / "nonexistent" / "rows.jsonl" if where == "missing_parent" else tmp_path
+        assert main(["exp", "--config", str(exp_config), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert calls == []
+
+    def test_solve_config_is_directory(self, tmp_path, exp_config, capsys):
+        out_dir = tmp_path / "instances"
+        main(["gen", "--config", str(exp_config), "--out", str(out_dir)])
+        capsys.readouterr()
+        code = main(
+            [
+                "solve",
+                "--basis",
+                str(out_dir / "basis_0000.json"),
+                "--measurements",
+                str(out_dir / "record_0000.json"),
+                "--config",
+                str(tmp_path),
+            ]
+        )
+        assert code == EXIT_CONFIG_ERROR
+        assert "error:" in capsys.readouterr().err
+
+    def test_gen_out_is_existing_file(self, tmp_path, exp_config, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        assert main(["gen", "--config", str(exp_config), "--out", str(taken)]) == EXIT_CONFIG_ERROR
+        assert "error:" in capsys.readouterr().err
+        assert taken.read_text() == "keep me\n"

@@ -109,6 +109,18 @@ class TestFrechetDerivative:
         phi = linalg._divided_difference_table(np.array([-1.5, -1.5]))
         assert np.all(phi == math.exp(-1.5))
 
+    def test_divided_differences_ties_exact(self):
+        # descending, as the objective passes it: an exact tie and a 1e-12 gap
+        w = np.array([0.7, 0.7, -0.3, -0.3 - 1e-12, -2.5, -2.5, -2.5])
+        phi = linalg._divided_difference_table(w)
+        assert np.array_equal(phi, phi.T)
+        for k in range(w.size):
+            for l in range(w.size):
+                if w[k] == w[l]:
+                    assert phi[k, l] == np.exp(w[k])
+        ref = math.exp(-0.3) * math.expm1((-0.3 - 1e-12) - (-0.3)) / ((-0.3 - 1e-12) - (-0.3))
+        assert abs(phi[2, 3] - ref) <= 1e-14 * ref
+
     def test_linearity(self):
         rng = np.random.default_rng(17)
         x = random_hermitian(4, rng)

@@ -203,6 +203,54 @@ class TestGraphAndDiagnostics:
         assert first_positive_gap(np.array([1.0, 1.0])) == 0.0
 
 
+def generic_objective(seed=5, d=8, m=3):
+    rng = np.random.default_rng(seed)
+    basis = basis_generic(d, m, rng)
+    rec = eigenstate_measurements(basis, rng.uniform(0, 1, m), 2)
+    return ReconstructionObjective(basis, rec.a), rng.uniform(-2, 2, m)
+
+
+class TestForwardCache:
+    def test_one_eigh_per_point(self, monkeypatch):
+        obj, x = generic_objective()
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        obj.value(x)
+        obj.gradient(x)
+        obj.diagnostics(x)
+        obj.graph(x)
+        obj.value(x.copy())
+        assert len(calls) == 1
+        obj.value(-x)
+        assert len(calls) == 2
+
+    def test_hit_still_validates_shape_and_finiteness(self):
+        obj, x = generic_objective()
+        obj.value(x)
+        with pytest.raises(ValueError, match="shape"):
+            obj.value(x.reshape(1, -1))  # the cached bytes, another shape
+        with pytest.raises(ValueError, match="shape"):
+            obj.gradient(x.reshape(-1, 1))
+        bad = x.copy()
+        bad[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            obj.value(bad)
+        assert obj.value(x) == obj.value(list(x))
+
+    def test_returned_gradient_is_a_copy(self):
+        obj, x = generic_objective()
+        g = obj.gradient(x)
+        ref = g.copy()
+        g[:] = 7.0
+        assert np.array_equal(obj.gradient(x), ref)
+
+
 class TestShiftedTerms:
     def test_values(self):
         # Hs at x = (1) is the single shifted term B = A - a I
