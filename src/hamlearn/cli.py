@@ -40,12 +40,22 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _check_writable(out) -> None:
+    """Refuse an output path that cannot be written, before any solving."""
+    if Path(out).is_dir():
+        raise ValueError(f"output path {out} is a directory")
+    if not Path(out).parent.is_dir():
+        raise ValueError(f"output directory {Path(out).parent} does not exist")
+
+
 def cmd_solve(args) -> int:
     basis = load_basis(args.basis)
     record = load_record(args.measurements)
     solve_cfg = _load_experiment_config(args.config).solve if args.config else SolveConfig()
     if args.seed is not None:
         solve_cfg = replace(solve_cfg, seed=args.seed)
+    if args.out:
+        _check_writable(args.out)
     result = solve_hamiltonian(basis, record.a, solve_cfg)
     payload = {**asdict(result), "x_opt": result.x_opt.tolist()}
     if record.truth is not None:
@@ -63,11 +73,7 @@ def cmd_exp(args) -> int:
     out = args.out or cfg.out_path
     if out is None:
         raise ValueError("no output path: pass --out or set out_path in the config")
-    # refuse an unwritable path before the suite runs, not after
-    if Path(out).is_dir():
-        raise ValueError(f"output path {out} is a directory")
-    if not Path(out).parent.is_dir():
-        raise ValueError(f"output directory {Path(out).parent} does not exist")
+    _check_writable(out)
     rows = run_experiment(cfg, threads=args.threads)
     write_rows(rows, out, fmt=args.format)
     summary = summarize(rows)
@@ -105,7 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--out", default=None)
     p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--threads", type=int, default=1)
+    p_exp.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="1 (default) solves one row at a time; T >= 2 starts T workers that "
+        "solve rows in lockstep, evaluating all their rows' pending points in one "
+        "stacked call per step; rows are identical either way but wall_ms",
+    )
     p_exp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_exp.set_defaults(func=cmd_exp)
 

@@ -9,6 +9,7 @@ parallel and still reproduce byte-identically.
 
 from __future__ import annotations
 
+import collections
 import csv
 import json
 import time
@@ -19,17 +20,19 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
+from .objective import ReconstructionObjective, evaluate_batch
 from .operators import (
     GAP_TOL,
     DegenerateEigenstateError,
     LatticeSpec,
+    MeasurementRecord,
     OperatorBasis,
     assemble,
     basis_generic,
     basis_two_local,
     eigenstate_measurements,
 )
-from .optimizer import SolveConfig, require_int, solve_hamiltonian
+from .optimizer import SolveConfig, require_int, solve_hamiltonian, solve_steps
 
 PRESETS = ("generic", "local_full", "local_chain", "level_sweep", "custom")
 MAX_REDRAWS = 10
@@ -59,7 +62,7 @@ class ResultRow:
     lambda_hat: float
     state_overlap: Optional[float]
     converged: bool
-    wall_ms: float
+    wall_ms: float  # draw to report; under lockstep workers it includes the interleaved rows' work
     seed: int
 
     def to_json(self) -> dict:
@@ -204,11 +207,13 @@ def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen
     raise RuntimeError(f"could not draw a non-degenerate instance after {MAX_REDRAWS} attempts")
 
 
-def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index) -> ResultRow:
-    t0 = time.perf_counter()
+def _start_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index):
+    """(basis, record, solve settings) of one suite row."""
     basis, record = draw_instance(cfg, row_id, instance_index, eigen_index)
-    solve_seed = _instance_seed(cfg.seed, row_id, 1)
-    result = solve_hamiltonian(basis, record.a, replace(cfg.solve, seed=solve_seed))
+    return basis, record, replace(cfg.solve, seed=_instance_seed(cfg.seed, row_id, 1))
+
+
+def _finish_row(row_id: int, basis, record, seed: int, result, t0: float) -> ResultRow:
     rep = metrics.report(basis, result, record)
     solved = asdict(result)
     del solved["x_opt"]
@@ -218,21 +223,139 @@ def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_inde
         m=basis.size,
         eigen_index=record.truth.eigen_index,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=solve_seed,
+        seed=seed,
         **solved,
         **asdict(rep),
     )
 
 
+def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index) -> ResultRow:
+    t0 = time.perf_counter()
+    basis, record, solve_cfg = _start_row(cfg, row_id, instance_index, eigen_index)
+    result = solve_hamiltonian(basis, record.a, solve_cfg)
+    return _finish_row(row_id, basis, record, solve_cfg.seed, result, t0)
+
+
+# Rows a lockstep worker stacks at d <= STACK_DIM_MAX; wider rows go one
+# per worker. Measured (2 cores, one BLAS thread): at d = 16, m = 3 a
+# stacked evaluation costs 184 us a row alone, 96 at 8 rows and 111 to 116
+# at 12 to 32 (the eigh, about 70 us a row, does not shrink); 8, 12 and 16
+# rows a worker took about 40%, 43% and 45% less CPU than a thread pool of
+# single rows on generic n=4 suites, for 2.3, 3.2 and 3.9 MB more peak
+# memory, so 8. On generic suites at d = 4 and d = 8, 8 rows a worker also
+# took less CPU than 1 or 4. At d = 32 two rows cost what one does and four
+# cost more, and at d = 64 four cost 1.1x to 1.7x a row, so wide rows are
+# not stacked.
+ROWS_IN_FLIGHT = 8
+STACK_DIM_MAX = 16
+
+
+def _rows_in_flight(cfg: ExperimentConfig) -> int:
+    """Rows each lockstep worker stacks, from the dimension the rows have."""
+    lattice = _lattice_for(cfg)
+    d = 2 ** (cfg.n_qubits if lattice is None else lattice.num_qubits)
+    return ROWS_IN_FLIGHT if d <= STACK_DIM_MAX else 1
+
+
+@dataclass
+class _Flight:
+    """A row in flight in a lockstep worker, with the point it waits on."""
+
+    row_id: int
+    t0: float
+    basis: OperatorBasis
+    record: MeasurementRecord
+    seed: int
+    objective: ReconstructionObjective
+    steps: object  # the solve_steps generator
+    x: np.ndarray
+
+
+def _answers(flights: list) -> list:
+    """(f, grad) at each flight's point, or the exception evaluating it raised.
+
+    One stacked evaluation answers all of them (the rows of a suite share
+    dim and size). If it raises, each row is evaluated alone, so a failure
+    is charged to the row that raises it, with the message it raises alone.
+    """
+    try:
+        fs, gs = evaluate_batch([fl.objective for fl in flights], [fl.x for fl in flights])
+        return list(zip(fs, gs))
+    except Exception:
+        pass
+    out = []
+    for fl in flights:
+        try:
+            out.append((fl.objective.value(fl.x), fl.objective.gradient(fl.x)))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _lockstep_worker(cfg: ExperimentConfig, tasks: collections.deque, per_worker: int) -> dict:
+    """Solve rows taken from `tasks`, up to per_worker of them in lockstep.
+
+    Every step answers the pending point of each row in flight with one
+    stacked evaluation; a row that ends is replaced by the next task. The
+    workers share `tasks` (deque.popleft is atomic). Returns {row_id:
+    ResultRow, or the exception the row raised} for the rows solved here.
+    """
+    done = {}
+    flights = []
+    while True:
+        while len(flights) < per_worker:
+            try:
+                row_id, instance_index, eigen_index = tasks.popleft()
+            except IndexError:
+                break
+            t0 = time.perf_counter()
+            try:
+                basis, record, solve_cfg = _start_row(cfg, row_id, instance_index, eigen_index)
+                obj, steps = solve_steps(basis, record.a, solve_cfg)
+                flights.append(_Flight(row_id, t0, basis, record, solve_cfg.seed, obj, steps, next(steps)))
+            except Exception as exc:
+                done[row_id] = exc
+        if not flights:
+            return done
+        waiting = []
+        for fl, answer in zip(flights, _answers(flights)):
+            try:
+                if isinstance(answer, Exception):
+                    raise answer
+                fl.x = fl.steps.send(answer)
+                waiting.append(fl)
+            except StopIteration as stop:
+                try:
+                    done[fl.row_id] = _finish_row(fl.row_id, fl.basis, fl.record, fl.seed, stop.value, fl.t0)
+                except Exception as exc:
+                    done[fl.row_id] = exc
+            except Exception as exc:
+                done[fl.row_id] = exc
+        flights = waiting
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
-    """Run the full suite on `threads` workers; rows come back in instance-id order."""
+    """Run the full suite; rows come back in instance-id order.
+
+    threads = 1 solves one row at a time. threads = T >= 2 starts T lockstep
+    workers that share the suite's tasks (see _lockstep_worker). The rows are
+    the same bits either way but wall_ms; an exception raised by any row is
+    raised here, the lowest row id's first, as the serial run raises it.
+    """
     require_int("threads", threads, 1)
     tasks = _row_tasks(cfg)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: _run_row(cfg, *t), tasks))
-    else:
-        rows = [_run_row(cfg, *t) for t in tasks]
+    if threads == 1:
+        return [_run_row(cfg, *t) for t in tasks]
+    pending, per_worker = collections.deque(tasks), _rows_in_flight(cfg)
+    done = {}
+    with ThreadPoolExecutor(max_workers=threads) as executor:
+        workers = [executor.submit(_lockstep_worker, cfg, pending, per_worker) for _ in range(threads)]
+        for w in workers:
+            done.update(w.result())
+    rows = [done[row_id] for row_id, _, _ in tasks]
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
     return rows
 
 

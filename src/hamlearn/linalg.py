@@ -41,12 +41,13 @@ def _divided_difference_table(w: np.ndarray) -> np.ndarray:
 
     Evaluated as e^{hi} expm1(lo - hi) / (lo - hi) with hi, lo the larger and
     smaller of w_k, w_l: accurate to round-off at every gap, exactly
-    symmetric, and expm1 of a non-positive argument cannot overflow.
+    symmetric, and expm1 of a non-positive argument cannot overflow. Leading
+    axes of w are batch axes: one table per spectrum along the last axis.
     """
     ew = np.exp(w)
-    dw = -np.abs(w[:, None] - w[None, :])
+    dw = -np.abs(w[..., :, None] - w[..., None, :])
     ratio = np.divide(np.expm1(dw), dw, out=np.ones_like(dw), where=dw != 0)
-    return np.maximum(ew[:, None], ew[None, :]) * ratio
+    return np.maximum(ew[..., :, None], ew[..., None, :]) * ratio
 
 
 def frechet_exp(x, e, method: str = "divided_difference") -> np.ndarray:

@@ -13,6 +13,7 @@ of v3, gives every component as grad_k = tr(B_k (Hs G + G Hs)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -74,14 +75,141 @@ def _real_traces(values: np.ndarray, scales=1.0) -> np.ndarray:
     return values.real
 
 
+def _real_rows(values: np.ndarray, row_scales=None) -> np.ndarray:
+    """Real parts of traces with leading row axes, each row judged by _real_traces.
+
+    row_scales(k), when given, builds the scales of row k (counted over the
+    flattened row axes). It runs only for a row with a residue above
+    IMAG_RESIDUE_TOL, below which no bound can fail.
+    """
+    residue = np.abs(values.imag)
+    if residue.max() > IMAG_RESIDUE_TOL:
+        m = values.shape[-1]
+        for k in np.flatnonzero(residue.reshape(-1, m).max(axis=1) > IMAG_RESIDUE_TOL):
+            _real_traces(values.reshape(-1, m)[k], 1.0 if row_scales is None else row_scales(k))
+    return values.real
+
+
+# The kernel. Leading axes of x and of the operands are row axes: none for
+# one objective at one x, one of length K for a stack. Every step is an @,
+# an eigh, an elementwise operation or a sum over the last axis, each of
+# which gives a row the same bits stacked as alone, so a row evaluated in a
+# stack of any K matches the row evaluated by itself. (einsum and sums over
+# other axes do not; contractions are therefore written as @.)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, row by row: one @ of a row vector by a column."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _forward(ops: tuple, x: np.ndarray) -> dict:
+    """Forward pass at x, (m,) or (K, m); ops = (b_flat, a_flat, a, b_norms)."""
+    b_flat, a_flat, a, _ = ops
+    rows = x.shape[:-1]
+    dd = b_flat.shape[-1]
+    d = math.isqrt(dd)
+    v2 = (x[..., None, :] @ b_flat).reshape(rows + (d, d))
+    v3 = v2 @ v2
+    lam, u = np.linalg.eigh(v3)
+    uh = u.conj().swapaxes(-1, -2)
+    mu = lam[..., :1]
+    wexp = np.exp(-(lam - mu))  # spectral shift: e^{-v3} = e^{-mu} U diag(wexp) U^dag
+    v5s = wexp.sum(axis=-1, keepdims=True)
+    v4s = (u * wexp[..., None, :]) @ uh
+    v6 = v4s / v5s[..., None]
+    v6 = (v6 + v6.conj().swapaxes(-1, -2)) / 2
+    # tr(A_j v6) for every j: one product with v6^T raveled
+    v7 = _real_rows((a_flat @ v6.swapaxes(-1, -2).reshape(rows + (dd, 1)))[..., 0]) - a
+    v8 = _dot(v7, v7)
+    # tr(v3 v6) in the shared eigenbasis; v3 is PSD, so clip the tiny
+    # negative eigh round-off (visible at ||x|| ~ 1e2+) to keep f >= 0
+    v9 = (np.maximum(lam, 0.0) * wexp).sum(axis=-1) / v5s[..., 0]
+    return {
+        "v2": v2,
+        "v3": v3,
+        "lam": lam,
+        "u": u,
+        "uh": uh,
+        "mu": mu,
+        "wexp": wexp,
+        "v5s": v5s,
+        "v4s": v4s,
+        "v6": v6,
+        "v7": v7,
+        "v8": v8,
+        "v9": v9,
+        "f": v8 + v9,
+    }
+
+
+def _gradient(ops: tuple, fwd: dict) -> np.ndarray:
+    """Gradient at the x of a forward pass, (m,) or (K, m), by one adjoint pass.
+
+    With r = v7, the derivative of f along a Hermitian change D of v3 is
+    tr(G D), where, in the eigenbasis U of v3 (primes),
+
+        W = sum_j 2 r_j A_j + v3,   W~ = W - tr(W rho) I,
+        G' = (diag(wexp) - Phi * W~') / v5s,
+
+    Phi being the divided-difference table of exp at the shifted spectrum
+    -(lam - mu); the Frechet derivative of exp at a Hermitian matrix is
+    self-adjoint under the trace inner product, which moves it onto W~.
+    Coefficient k changes v3 by B_k Hs + Hs B_k, so
+    grad_k = tr(B_k S) with S = Hs G + G Hs and G = U G' U^dag. The
+    spectral shift mu cancels in rho and every downstream node, so
+    holding it fixed gives the exact derivative.
+    """
+    b_flat, _, _, b_norms = ops
+    lam, u, uh, wexp, v5s = fwd["lam"], fwd["u"], fwd["uh"], fwd["wexp"], fwd["v5s"]
+    rows, d = lam.shape[:-1], lam.shape[-1]
+    phi = linalg._divided_difference_table(-(lam - fwd["mu"]))
+    # sum_j 2 r_j B_j differs from sum_j 2 r_j A_j by a multiple of I,
+    # which the centring on tr(W rho) removes
+    w_rep = uh @ ((2.0 * fwd["v7"])[..., None, :] @ b_flat).reshape(rows + (d, d)) @ u
+    w_diag = w_rep.reshape(rows + (-1,))[..., :: d + 1]  # strided views of the diagonals
+    w_real = w_diag.real + lam
+    w_diag[...] = w_real - _dot(w_real, wexp)[..., None] / v5s
+    g_rep = -phi * w_rep
+    g_rep.reshape(rows + (-1,))[..., :: d + 1] += wexp
+    hg = fwd["v2"] @ (u @ (g_rep / v5s[..., None]) @ uh)
+    s = hg + hg.conj().swapaxes(-1, -2)
+    traces = (b_flat @ s.swapaxes(-1, -2).reshape(rows + (d * d, 1)))[..., 0]
+    m = traces.shape[-1]
+    grad = _real_rows(traces, lambda k: b_norms.reshape(-1, m)[k] * np.linalg.norm(s.reshape(-1, d, d)[k]))
+    return np.ascontiguousarray(grad)  # not a strided view of the complex traces
+
+
+def _stack_ops(objectives: Sequence["ReconstructionObjective"]) -> tuple:
+    if len(objectives) == 1:  # views: no copy of a wide row's operands
+        return tuple(part[None] for part in objectives[0]._ops)
+    return tuple(np.stack(parts) for parts in zip(*(obj._ops for obj in objectives)))
+
+
+def evaluate_batch(objectives: Sequence["ReconstructionObjective"], xs: Sequence[np.ndarray]):
+    """(f, grad) of objective k at xs[k] for every k, in one stacked pass.
+
+    The objectives must share dim and size. Each row gets the bits that
+    value and gradient give it alone; a row that would raise there makes
+    the whole call raise (no row is attributed).
+    """
+    x = np.asarray(xs, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x contains non-finite entries")
+    ops = _stack_ops(objectives)
+    fwd = _forward(ops, x)
+    return fwd["f"].tolist(), _gradient(ops, fwd)
+
+
 class ReconstructionObjective:
     """f(x), grad f(x), and diagnostics for one (basis, measurements) pair.
 
-    The forward pass (one Hermitian eigendecomposition of Hs^2) is cached on
-    the argument, so value/gradient/diagnostics at the same x share it. The
-    exponential is evaluated with the minimum eigenvalue subtracted; the
-    shift cancels in rho and in all reported ratios but prevents underflow
-    once the spectrum grows large near convergence.
+    Each method runs the kernel at one x (no row axis). The forward pass (one
+    Hermitian eigendecomposition of Hs^2) is cached on the argument, so
+    value/gradient/diagnostics at the same x share it. The exponential is
+    evaluated with the minimum eigenvalue subtracted; the shift cancels in
+    rho and in all reported ratios but prevents underflow once the spectrum
+    grows large near convergence.
     """
 
     def __init__(self, basis: OperatorBasis, a: Sequence[float]):
@@ -95,9 +223,10 @@ class ReconstructionObjective:
         b_stack = np.asarray([term - ai * eye for term, ai in zip(basis.terms, self.a)], dtype=complex)
         # flattened stacks: tr(X_j Y) for every j is one product with Y^T
         # raveled, and sum_j c_j X_j is c @ X_flat reshaped to d x d
-        self._b_flat = b_stack.reshape(m, d * d)
-        self._a_flat = np.asarray(basis.terms, dtype=complex).reshape(m, d * d)
-        self._b_norms = np.linalg.norm(self._b_flat, axis=1)
+        b_flat = b_stack.reshape(m, d * d)
+        a_flat = np.asarray(basis.terms, dtype=complex).reshape(m, d * d)
+        # the kernel's operands
+        self._ops = (b_flat, a_flat, self.a, np.linalg.norm(b_flat, axis=1))
         self._x_shape = (m,)
         self._cache_key: Optional[bytes] = None
         self._cache: Optional[dict] = None
@@ -116,95 +245,34 @@ class ReconstructionObjective:
             raise ValueError(f"x has shape {x.shape}, expected {self._x_shape}")
         if not np.isfinite(x).all():
             raise ValueError("x contains non-finite entries")
-        d = self.basis.dim
-        v2 = (x @ self._b_flat).reshape(d, d)
-        v3 = v2 @ v2
-        lam, u = np.linalg.eigh(v3)
-        uh = u.conj().T
-        mu = lam[0]
-        wexp = np.exp(-(lam - mu))  # spectral shift: e^{-v3} = e^{-mu} U diag(wexp) U^dag
-        v5s = float(wexp.sum())
-        v4s = (u * wexp) @ uh
-        v6 = v4s / v5s
-        v6 = (v6 + v6.conj().T) / 2
-        v7 = _real_traces(self._a_flat @ v6.T.ravel()) - self.a
-        v8 = float(v7 @ v7)
-        # tr(v3 v6) in the shared eigenbasis; v3 is PSD, so clip the tiny
-        # negative eigh round-off (visible at ||x|| ~ 1e2+) to keep f >= 0
-        v9 = float((np.maximum(lam, 0.0) * wexp).sum() / v5s)
-        fwd = {
-            "x": x.copy(),
-            "v2": v2,
-            "v3": v3,
-            "lam": lam,
-            "u": u,
-            "uh": uh,
-            "mu": mu,
-            "wexp": wexp,
-            "v5s": v5s,
-            "v4s": v4s,
-            "v6": v6,
-            "v7": v7,
-            "v8": v8,
-            "v9": v9,
-            "f": v8 + v9,
-        }
+        fwd = _forward(self._ops, x)
+        fwd["x"] = x.copy()
         self._cache_key = key
         self._cache = fwd
         return fwd
 
     def value(self, x) -> float:
-        return self._forward(x)["f"]
+        return float(self._forward(x)["f"])
 
     def gradient(self, x) -> np.ndarray:
-        """Exact gradient by one adjoint (reverse-mode) pass.
-
-        With r = v7, the derivative of f along a Hermitian change D of v3 is
-        tr(G D), where, in the eigenbasis U of v3 (primes),
-
-            W = sum_j 2 r_j A_j + v3,   W~ = W - tr(W rho) I,
-            G' = (diag(wexp) - Phi * W~') / v5s,
-
-        Phi being the divided-difference table of exp at the shifted spectrum
-        -(lam - mu); the Frechet derivative of exp at a Hermitian matrix is
-        self-adjoint under the trace inner product, which moves it onto W~.
-        Coefficient k changes v3 by B_k Hs + Hs B_k, so
-        grad_k = tr(B_k S) with S = Hs G + G Hs and G = U G' U^dag. The
-        spectral shift mu cancels in rho and every downstream node, so
-        holding it fixed gives the exact derivative.
-        """
-        fwd = self._forward(x)
-        lam, u, uh, wexp, v5s = fwd["lam"], fwd["u"], fwd["uh"], fwd["wexp"], fwd["v5s"]
-        d = lam.size
-        phi = linalg._divided_difference_table(-(lam - fwd["mu"]))
-        # sum_j 2 r_j B_j differs from sum_j 2 r_j A_j by a multiple of I,
-        # which the centring on tr(W rho) removes
-        w_rep = uh @ ((2.0 * fwd["v7"]) @ self._b_flat).reshape(d, d) @ u
-        w_diag = w_rep.reshape(-1)[:: d + 1]  # strided views of the diagonals
-        w_real = w_diag.real + lam
-        w_diag[:] = w_real - (w_real @ wexp) / v5s
-        g_rep = -phi * w_rep
-        g_rep.reshape(-1)[:: d + 1] += wexp
-        hg = fwd["v2"] @ (u @ (g_rep / v5s) @ uh)
-        s = hg + hg.conj().T
-        grad = _real_traces(self._b_flat @ s.T.ravel(), self._b_norms * np.linalg.norm(s))
-        return grad.copy()  # contiguous, not a strided view of the complex traces
+        """Exact gradient by one adjoint (reverse-mode) pass; see _gradient."""
+        return _gradient(self._ops, self._forward(x))
 
     def graph(self, x) -> GraphEval:
         """Full node-by-node evaluation, with v4/v5 reported unshifted."""
         fwd = self._forward(x)
-        scale = np.exp(-fwd["mu"])  # may underflow to 0 for debug output; rho is unaffected
+        scale = np.exp(-fwd["mu"][0])  # may underflow to 0 for debug output; rho is unaffected
         return GraphEval(
             x=fwd["x"].copy(),
             v2=fwd["v2"].copy(),
             v3=fwd["v3"].copy(),
             v4=scale * fwd["v4s"],
-            v5=scale * fwd["v5s"],
+            v5=float(scale * fwd["v5s"][0]),
             v6=fwd["v6"].copy(),
             v7=fwd["v7"].copy(),
-            v8=fwd["v8"],
-            v9=fwd["v9"],
-            v10=fwd["f"],
+            v8=float(fwd["v8"]),
+            v9=float(fwd["v9"]),
+            v10=float(fwd["f"]),
         )
 
     def diagnostics(self, x) -> Diagnostics:
@@ -213,7 +281,7 @@ class ReconstructionObjective:
         ground_prob = e^{-E_g} / tr e^{-Hs^2}, computed in the shifted form
         1 / sum_i e^{-(E_i - E_g)} which is identical by cancellation.
         """
-        fwd = self._forward(x)
-        spectrum = np.maximum(fwd["lam"], 0.0)  # Hs^2 is PSD; clip eigh round-off
-        ground_prob = float(1.0 / np.sum(np.exp(-(fwd["lam"] - fwd["lam"][0]))))
+        lam = self._forward(x)["lam"]
+        spectrum = np.maximum(lam, 0.0)  # Hs^2 is PSD; clip eigh round-off
+        ground_prob = float(1.0 / np.sum(np.exp(-(lam - lam[0]))))
         return Diagnostics(spectrum=spectrum, ground_prob=ground_prob)

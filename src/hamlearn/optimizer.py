@@ -105,25 +105,26 @@ def _cubic_minimum(a_lo, f_lo, g_lo, a_hi, f_hi, g_hi):
     return a if math.isfinite(a) else None
 
 
-def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
-    """Strong Wolfe line search (bracket then zoom with cubic interpolation).
+def _drive(steps, answer):
+    """Run a step generator to its return value, sending answer(r) back for each request r it yields."""
+    try:
+        request = next(steps)
+        while True:
+            request = steps.send(answer(request))
+    except StopIteration as stop:
+        return stop.value
 
-    phi(a)/dphi(a) evaluate the restricted objective and its slope; g0 < 0 is
-    required. Returns (alpha, f_alpha). Raises _LineSearchFailure when the
-    evaluation budget runs out without an acceptable step, or when zoom's
-    bracket can no longer tell two steps apart: either its width is below
-    1e-16 * max(1, |a_lo|), or the largest change of f it can hold,
-    width * |g0|, is within one unit of round-off of f0 (Moré & Thuente's
-    "rounding errors prevent progress").
-    """
+
+def _wolfe_steps(f0, g0, c1, c2, max_evals, a_max=1e10):
+    """_wolfe_search as a generator: yields each trial step a, is sent back
+    (phi(a), dphi(a)), and returns or raises as _wolfe_search does."""
     eps = math.ulp(1.0)  # machine epsilon
     evals = [0]
 
-    def take(a):
+    def spend():  # one more evaluation, within the budget
         evals[0] += 1
         if evals[0] > max_evals:
             raise _LineSearchFailure
-        return phi(a), dphi(a)
 
     def zoom(a_lo, f_lo, g_lo, a_hi, f_hi, g_hi):
         while True:
@@ -134,7 +135,8 @@ def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
                 a = 0.5 * (a_lo + a_hi)
             if width < 1e-16 * max(1.0, abs(a_lo)) or width * -g0 <= eps * f0:
                 raise _LineSearchFailure
-            fa, ga = take(a)
+            spend()
+            fa, ga = yield a
             if fa > f0 + c1 * a * g0 or fa >= f_lo:
                 a_hi, f_hi, g_hi = a, fa, ga
             else:
@@ -147,42 +149,43 @@ def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
     a_prev, f_prev, g_prev = 0.0, f0, g0
     a = min(1.0, a_max)
     while True:
-        fa, ga = take(a)
+        spend()
+        fa, ga = yield a
         if fa > f0 + c1 * a * g0 or (a_prev > 0 and fa >= f_prev):
-            return zoom(a_prev, f_prev, g_prev, a, fa, ga)
+            return (yield from zoom(a_prev, f_prev, g_prev, a, fa, ga))
         if abs(ga) <= -c2 * g0:
             return a, fa
         if ga >= 0:
-            return zoom(a, fa, ga, a_prev, f_prev, g_prev)
+            return (yield from zoom(a, fa, ga, a_prev, f_prev, g_prev))
         if a >= a_max:  # capped extension: accept the Armijo-satisfying step
             return a, fa
         a_prev, f_prev, g_prev = a, fa, ga
         a = min(2 * a, a_max)
 
 
-def bfgs_minimize(
-    objective: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    cfg: SolveConfig,
-    f_target: Optional[float] = None,
-) -> BfgsOutcome:
-    """BFGS with the standard rank-2 inverse-Hessian update.
+def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
+    """Strong Wolfe line search (bracket then zoom with cubic interpolation).
 
-    Stops once the objective is below f_target, or, when no f_target is
-    given, once the gradient norm is below EPS0 (the flat tail of the
-    reconstruction objective has small gradients well before the objective
-    itself is small); also at a gradient norm below 1e-12, at the iteration
-    cap, on line-search failure and past ITERATE_NORM_CAP. Always returns
-    the best iterate seen.
+    phi(a)/dphi(a) evaluate the restricted objective and its slope; g0 < 0 is
+    required. Returns (alpha, f_alpha). Raises _LineSearchFailure when the
+    evaluation budget runs out without an acceptable step, or when zoom's
+    bracket can no longer tell two steps apart: either its width is below
+    1e-16 * max(1, |a_lo|), or the largest change of f it can hold,
+    width * |g0|, is within one unit of round-off of f0 (Moré & Thuente's
+    "rounding errors prevent progress").
     """
+    return _drive(_wolfe_steps(f0, g0, c1, c2, max_evals, a_max), lambda a: (phi(a), dphi(a)))
+
+
+def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: Optional[float] = None):
+    """bfgs_minimize as a generator: yields each point x, is sent back
+    (f(x), grad f(x)), and returns the BfgsOutcome."""
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 contains non-finite entries")
     n = x.size
     h = np.eye(n)
-    fx = objective(x)
-    gx = grad(x)
+    fx, gx = yield x
     gnorm = _norm(gx)
     best_x, best_f, best_g = x, fx, gnorm
     first_update = True
@@ -198,23 +201,19 @@ def bfgs_minimize(
             p = -gx
             slope = -float(gx @ gx)
 
-        x_alpha, g_alpha = {}, {}
-
-        def phi(a):
-            xa = x_alpha[a] = x + a * p
-            return objective(xa)
-
-        def dphi(a):
-            ga = g_alpha[a] = grad(x_alpha[a])  # the search calls phi(a) first
-            return float(ga @ p)
-
         # keep a single line search from jumping more than three decades past
         # the current iterate; runaway directions are cut off by the norm cap
         a_max = max(1.0, 1e3 * (1.0 + _norm(x)) / _norm(p))
+        search = _wolfe_steps(fx, slope, WOLFE_C1, WOLFE_C2, LINE_SEARCH_MAX_EVALS, a_max)
+        x_alpha, g_alpha = {}, {}
         try:
-            alpha, f_new = _wolfe_search(
-                phi, dphi, fx, slope, WOLFE_C1, WOLFE_C2, LINE_SEARCH_MAX_EVALS, a_max
-            )
+            a = next(search)
+            while True:  # the search's trial steps a, as points x + a p
+                xa = x_alpha[a] = x + a * p
+                fa, g_alpha[a] = yield xa
+                a = search.send((fa, float(g_alpha[a] @ p)))
+        except StopIteration as stop:
+            alpha, f_new = stop.value
         except _LineSearchFailure:
             break
         iterations += 1
@@ -240,6 +239,25 @@ def bfgs_minimize(
         if fx < best_f:
             best_x, best_f, best_g = x, fx, gnorm
     return BfgsOutcome(best_x, best_f, best_g, iterations, h)
+
+
+def bfgs_minimize(
+    objective: Callable[[np.ndarray], float],
+    grad: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    cfg: SolveConfig,
+    f_target: Optional[float] = None,
+) -> BfgsOutcome:
+    """BFGS with the standard rank-2 inverse-Hessian update.
+
+    Stops once the objective is below f_target, or, when no f_target is
+    given, once the gradient norm is below EPS0 (the flat tail of the
+    reconstruction objective has small gradients well before the objective
+    itself is small); also at a gradient norm below 1e-12, at the iteration
+    cap, on line-search failure and past ITERATE_NORM_CAP. Always returns
+    the best iterate seen.
+    """
+    return _drive(_bfgs_steps(x0, cfg, f_target), lambda x: (objective(x), grad(x)))
 
 
 def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
@@ -278,36 +296,22 @@ def _hop_proposal(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return s * prop / float(np.linalg.norm(prop))
 
 
-def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None) -> SolveResult:
-    """Random-restart outer loop: BFGS from fresh uniform draws until f < eps.
-
-    Each restart that stalls above the acceptance threshold is followed by a
-    short monotone basin-hopping chain (HOPS_PER_RESTART proposals from
-    _hop_proposal, keeping a hop only when it improves the chain); spurious
-    minimizers cluster at small norm close in angle to deeper basins, so the
-    chains convert many otherwise-wasted restarts into solutions.
-
-    Exhausting the restart budget returns the best-so-far iterate with
-    converged = False; it is a reportable outcome, not an exception.
-    """
-    if cfg is None:
-        cfg = SolveConfig()
-    a = np.asarray(a, dtype=float)
-    check_measurement_range(basis, a)
-    obj = ReconstructionObjective(basis, a)
+def _restart_steps(obj: ReconstructionObjective, cfg: SolveConfig):
+    """The restart/hop loop of solve_hamiltonian as a generator: yields the
+    start point of each BFGS run, is sent back the run's BfgsOutcome, and
+    returns the SolveResult."""
     rng = np.random.default_rng(cfg.seed)
-
     best: Optional[BfgsOutcome] = None
     best_x0 = None
     iterations = 0
     for restarts in range(1, cfg.max_restarts + 1):
         x0 = rng.uniform(INIT_LOW, INIT_HIGH, obj.size)
-        outcome = bfgs_minimize(obj.value, obj.gradient, x0, cfg, f_target=cfg.eps)
+        outcome = yield x0
         iterations += outcome.iterations
         for _ in range(HOPS_PER_RESTART):
             if outcome.f < cfg.eps:
                 break
-            hop = bfgs_minimize(obj.value, obj.gradient, _hop_proposal(outcome.x, rng), cfg, f_target=cfg.eps)
+            hop = yield _hop_proposal(outcome.x, rng)
             iterations += hop.iterations
             if hop.f < outcome.f:
                 outcome = hop
@@ -327,3 +331,54 @@ def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None
         gap_first_final=first_positive_gap(final.spectrum),
         ground_prob_final=final.ground_prob,
     )
+
+
+def _objective(basis: OperatorBasis, a) -> ReconstructionObjective:
+    a = np.asarray(a, dtype=float)
+    check_measurement_range(basis, a)
+    return ReconstructionObjective(basis, a)
+
+
+def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None) -> SolveResult:
+    """Random-restart outer loop: BFGS from fresh uniform draws until f < eps.
+
+    Each restart that stalls above the acceptance threshold is followed by a
+    short monotone basin-hopping chain (HOPS_PER_RESTART proposals from
+    _hop_proposal, keeping a hop only when it improves the chain); spurious
+    minimizers cluster at small norm close in angle to deeper basins, so the
+    chains convert many otherwise-wasted restarts into solutions.
+
+    Exhausting the restart budget returns the best-so-far iterate with
+    converged = False; it is a reportable outcome, not an exception.
+    """
+    if cfg is None:
+        cfg = SolveConfig()
+    obj = _objective(basis, a)
+    return _drive(
+        _restart_steps(obj, cfg),
+        lambda x0: bfgs_minimize(obj.value, obj.gradient, x0, cfg, f_target=cfg.eps),
+    )
+
+
+def solve_steps(basis: OperatorBasis, a, cfg: SolveConfig):
+    """solve_hamiltonian as one generator of evaluation points, for callers
+    that evaluate many solves together.
+
+    Returns (objective, steps): steps yields each point x at which the
+    objective's value and gradient are needed, is sent back (f, grad), and
+    returns the SolveResult that solve_hamiltonian returns for the same
+    arguments, bit for bit, when every answer has the bits of
+    (objective.value(x), objective.gradient(x)).
+    """
+    obj = _objective(basis, a)
+    return obj, _solve_points(obj, cfg)
+
+
+def _solve_points(obj: ReconstructionObjective, cfg: SolveConfig):
+    runs = _restart_steps(obj, cfg)
+    try:
+        x0 = next(runs)
+        while True:
+            x0 = runs.send((yield from _bfgs_steps(x0, cfg, cfg.eps)))
+    except StopIteration as stop:
+        return stop.value

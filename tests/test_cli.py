@@ -250,6 +250,31 @@ class TestErrors:
         assert "error:" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("where", ["missing_parent", "directory"])
+    def test_solve_unwritable_out_solves_nothing(self, tmp_path, exp_config, capsys, monkeypatch, where):
+        out_dir = tmp_path / "instances"
+        main(["gen", "--config", str(exp_config), "--out", str(out_dir)])
+        capsys.readouterr()
+
+        def solve_hamiltonian(*args, **kwargs):
+            raise AssertionError("solved an instance that it cannot write")
+
+        monkeypatch.setattr(cli, "solve_hamiltonian", solve_hamiltonian)
+        out = tmp_path / "nonexistent" / "result.json" if where == "missing_parent" else tmp_path
+        code = main(
+            [
+                "solve",
+                "--basis",
+                str(out_dir / "basis_0000.json"),
+                "--measurements",
+                str(out_dir / "record_0000.json"),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == EXIT_CONFIG_ERROR
+        assert "error:" in capsys.readouterr().err
+
     def test_solve_config_is_directory(self, tmp_path, exp_config, capsys):
         out_dir = tmp_path / "instances"
         main(["gen", "--config", str(exp_config), "--out", str(out_dir)])

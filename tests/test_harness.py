@@ -1,10 +1,14 @@
 """Unit tests for the experiment harness: configs, seeding, rows, summaries."""
 
 import json
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hamlearn import harness
 from hamlearn.harness import (
     RESULT_FIELDS,
     ExperimentConfig,
@@ -16,7 +20,8 @@ from hamlearn.harness import (
     summarize,
     write_rows,
 )
-from hamlearn.operators import LatticeSpec
+from hamlearn.objective import ReconstructionObjective
+from hamlearn.operators import LatticeSpec, basis_generic, eigenstate_measurements
 from hamlearn.optimizer import SolveConfig
 
 
@@ -24,6 +29,12 @@ def small_config(**overrides):
     base = dict(preset="generic", n_qubits=2, num_instances=3, seed=7, m_terms=2)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def without_wall(row) -> dict:
+    out = row.to_json()
+    del out["wall_ms"]
+    return out
 
 
 class TestConfig:
@@ -146,13 +157,75 @@ class TestRunExperiment:
             run_experiment(small_config(), threads=threads)
 
     def test_threads_match_serial(self):
-        cfg = small_config()
-        serial = run_experiment(cfg, threads=1)
-        parallel = run_experiment(cfg, threads=3)
-        for a, b in zip(serial, parallel):
-            assert a.instance_id == b.instance_id
-            assert a.f_final == b.f_final
-            assert a.fidelity == b.fidelity
+        # every field but wall_ms, on a generic, a local_full and a level_sweep suite
+        for overrides in (
+            {},
+            {"preset": "local_full", "n_qubits": 3, "num_instances": 4, "m_terms": None},
+            {"preset": "level_sweep", "n_qubits": 2, "num_instances": 1, "m_terms": None, "eigen_index_policy": "all"},
+        ):
+            cfg = small_config(**overrides)
+            serial = [without_wall(r) for r in run_experiment(cfg, threads=1)]
+            for threads in (2, 3):
+                assert [without_wall(r) for r in run_experiment(cfg, threads=threads)] == serial
+
+    def test_lockstep_under_contention(self):
+        # more workers than cores, a switch interval short enough to
+        # interleave them everywhere, and rows stacked across rows of a
+        # suite: every row must still come back once, as the serial run has it
+        cfg = small_config(num_instances=9)
+        serial = [without_wall(r) for r in run_experiment(cfg, threads=1)]
+        out = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: out.append(run_experiment(cfg, threads=5)))
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert [without_wall(r) for r in out[0]] == serial
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_row_error_propagates(self, monkeypatch, threads):
+        # a row that raises inside a lockstep batch raises what the serial run raises
+        draw = harness.draw_instance
+
+        def failing_draw(cfg, row_id, *args):
+            if row_id in (1, 2):
+                raise RuntimeError(f"row {row_id} cannot be drawn")
+            return draw(cfg, row_id, *args)
+
+        monkeypatch.setattr(harness, "draw_instance", failing_draw)
+        with pytest.raises(RuntimeError, match=r"^row 1 cannot be drawn$"):
+            run_experiment(small_config(num_instances=4), threads=threads)
+
+    def test_rows_in_flight_follow_row_dimension(self):
+        # a custom lattice sets the rows' dimension, whatever n_qubits says
+        assert harness._rows_in_flight(small_config()) == harness.ROWS_IN_FLIGHT
+        assert harness._rows_in_flight(small_config(n_qubits=5)) == 1
+        wide = small_config(preset="custom", n_qubits=1, m_terms=None, lattice=LatticeSpec.chain(5))
+        assert harness._rows_in_flight(wide) == 1
+        narrow = small_config(preset="custom", n_qubits=6, m_terms=None, lattice=LatticeSpec.chain(2))
+        assert harness._rows_in_flight(narrow) == harness.ROWS_IN_FLIGHT
+
+    def test_failed_stack_answered_row_by_row(self):
+        # one row's non-finite point makes the stacked evaluation raise; each
+        # row is then answered alone, and only that row gets the exception
+        rng = np.random.default_rng(5)
+        flights = []
+        for i in range(3):
+            basis = basis_generic(4, 2, rng)
+            rec = eigenstate_measurements(basis, rng.uniform(0, 1, 2), 1)
+            x = np.array([np.nan, 0.0]) if i == 1 else rng.uniform(-1, 1, 2)
+            flights.append(SimpleNamespace(objective=ReconstructionObjective(basis, rec.a), x=x))
+        answers = harness._answers(flights)
+        assert isinstance(answers[1], ValueError)
+        for i in (0, 2):
+            alone = ReconstructionObjective(flights[i].objective.basis, flights[i].objective.a)
+            f, g = answers[i]
+            assert f == alone.value(flights[i].x)
+            assert np.array_equal(g, alone.gradient(flights[i].x))
 
 
 class TestSummarizeAndIo:

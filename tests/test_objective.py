@@ -7,7 +7,14 @@ import scipy.linalg
 from hamlearn import linalg
 from hamlearn import objective as obj_mod
 from hamlearn.objective import ReconstructionObjective, first_positive_gap
-from hamlearn.operators import PAULI_Z, OperatorBasis, basis_generic, eigenstate_measurements
+from hamlearn.operators import (
+    PAULI_Z,
+    LatticeSpec,
+    OperatorBasis,
+    basis_generic,
+    basis_two_local,
+    eigenstate_measurements,
+)
 
 
 def scalar_closed_form(x):
@@ -251,6 +258,52 @@ class TestForwardCache:
         assert np.array_equal(obj.gradient(x), ref)
 
 
+class TestStackedKernel:
+    @pytest.mark.parametrize("kind", ["generic", "local"])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_rows_match_one_row_evaluations(self, kind, k):
+        # every row of a K-row stack gets the bits value, gradient and
+        # diagnostics give it alone, whatever its batch-mates
+        rng = np.random.default_rng(300 + k)
+        objs, xs = [], []
+        for norm in np.geomspace(0.3, 30.0, k):
+            if kind == "generic":
+                basis = basis_generic(8, 3, rng)
+            else:
+                basis = basis_two_local(LatticeSpec.fully_connected(3), rng)
+            rec = eigenstate_measurements(basis, rng.uniform(0, 1, basis.size), int(rng.integers(basis.dim)))
+            x = rng.normal(size=basis.size)
+            objs.append(ReconstructionObjective(basis, rec.a))
+            xs.append(x * norm / np.linalg.norm(x))
+        fs, gs = obj_mod.evaluate_batch(objs, xs)
+        spectra = obj_mod._forward(obj_mod._stack_ops(objs), np.asarray(xs))["lam"]
+        for obj, x, f, g, lam in zip(objs, xs, fs, gs, spectra):
+            alone = ReconstructionObjective(obj.basis, obj.a)
+            assert f == alone.value(x)
+            assert np.array_equal(g, alone.gradient(x))
+            assert g.flags.c_contiguous
+            assert np.array_equal(np.maximum(lam, 0.0), alone.diagnostics(x).spectrum)
+
+    @pytest.mark.parametrize("n", [3, 16, 21])
+    def test_dot_rows_match_one_row_dot(self, n):
+        # the kernel's last-axis dot products (sum of squared residuals and
+        # the centring of W) give each stacked row the bits of a 1-D a @ b
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(5, n)) * np.geomspace(1e-5, 1e5, 5)[:, None]
+        b = rng.normal(size=(5, n))
+        stacked = obj_mod._dot(a, b)
+        assert stacked.shape == (5,)
+        for k in range(5):
+            assert stacked[k] == a[k] @ b[k] == obj_mod._dot(a[k], b[k])
+
+    def test_non_finite_row_raises(self):
+        obj, x = generic_objective()
+        bad = x.copy()
+        bad[0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            obj_mod.evaluate_batch([obj, obj], [x, bad])
+
+
 class TestShiftedTerms:
     def test_values(self):
         # Hs at x = (1) is the single shifted term B = A - a I
@@ -273,3 +326,25 @@ class TestRealTraceGuard:
 
     def test_scale_widens_tolerance(self):
         assert obj_mod._real_traces(np.array([1.0 + 1e-3j]), np.array([1e6]))[0] == 1.0
+
+    def test_stack_rows_judged_apart(self):
+        values = np.array([[1.0 + 1e-12j, 2.0], [3.0 + 1e-3j, 2.0]])
+        assert np.array_equal(obj_mod._real_rows(values[:1]), [[1.0, 2.0]])
+        with pytest.raises(RuntimeError, match="1.000e-03"):
+            obj_mod._real_rows(values)
+        # the same row passes under a bound its scales widen, as one row does
+        assert np.array_equal(obj_mod._real_rows(values, lambda k: np.array([1e6, 1e6])), [[1.0, 2.0], [3.0, 2.0]])
+
+    def test_stack_scales_built_only_past_tolerance(self):
+        calls = []
+
+        def scales(k):
+            calls.append(k)
+            return 1.0
+
+        small = np.array([[1.0 + 1e-9j], [2.0 - 1e-10j]])
+        assert np.array_equal(obj_mod._real_rows(small, scales), [[1.0], [2.0]])
+        assert calls == []
+        with pytest.raises(RuntimeError):
+            obj_mod._real_rows(np.array([[1.0 + 1e-9j], [2.0 + 1e-7j]]), scales)
+        assert calls == [1]  # only the row whose residue exceeds the tolerance

@@ -13,6 +13,7 @@ from hamlearn.optimizer import (
     bfgs_minimize,
     check_measurement_range,
     solve_hamiltonian,
+    solve_steps,
 )
 
 
@@ -222,3 +223,25 @@ class TestSolveHamiltonian:
         result = solve_hamiltonian(basis, [1.0], cfg)
         assert not result.converged
         assert result.restarts == 1
+
+    def test_solve_steps_match_solve_hamiltonian(self):
+        # the generator that lockstep callers drive, answered by the same
+        # objective calls, returns solve_hamiltonian's result bit for bit
+        rng = np.random.default_rng(313)
+        basis = basis_generic(8, 3, rng)
+        rec = eigenstate_measurements(basis, rng.uniform(0, 1, 3), 4)
+        cfg = SolveConfig(seed=9, max_restarts=20)
+        obj, steps = solve_steps(basis, rec.a, cfg)
+        points = []
+
+        def answer(x):
+            points.append(x)
+            return obj.value(x), obj.gradient(x)
+
+        got = optimizer._drive(steps, answer)
+        want = solve_hamiltonian(basis, rec.a, cfg)
+        assert np.array_equal(got.x_opt, want.x_opt)
+        assert {k: v for k, v in vars(got).items() if k != "x_opt"} == {
+            k: v for k, v in vars(want).items() if k != "x_opt"
+        }
+        assert len(points) > got.iterations
