@@ -115,9 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="1 (default) solves one row at a time; T >= 2 starts T workers that "
-        "solve rows in lockstep, evaluating all their rows' pending points in one "
-        "stacked call per step; rows are identical either way but wall_ms",
+        help="1 (default) solves one row at a time; T >= 2 solves rows of d <= 16 "
+        "in lockstep on one worker, evaluating all their pending points in one "
+        "stacked call per step, and wider rows on T workers of one row each; rows "
+        "are identical either way but wall_ms",
     )
     p_exp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_exp.set_defaults(func=cmd_exp)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import metrics
-from .objective import ReconstructionObjective, evaluate_batch
+from .objective import ReconstructionObjective, evaluate_stacked, stack_operands
 from .operators import (
     GAP_TOL,
     DegenerateEigenstateError,
@@ -62,7 +62,7 @@ class ResultRow:
     lambda_hat: float
     state_overlap: Optional[float]
     converged: bool
-    wall_ms: float  # draw to report; under lockstep workers it includes the interleaved rows' work
+    wall_ms: float  # draw to report; with threads >= 2 it includes the rows solved alongside
     seed: int
 
     def to_json(self) -> dict:
@@ -100,7 +100,7 @@ class ExperimentConfig:
         pol = self.eigen_index_policy
         if not (pol in ("random", "all") or (isinstance(pol, int) and not isinstance(pol, bool))):
             raise ValueError(f"bad eigen_index_policy {pol!r}")
-        if isinstance(pol, int) and not (0 <= pol < 2**self.n_qubits):
+        if isinstance(pol, int) and not (0 <= pol < _row_dim(self)):
             raise ValueError(f"fixed eigen index {pol} out of range")
 
     @classmethod
@@ -146,6 +146,12 @@ def _lattice_for(cfg: ExperimentConfig) -> Optional[LatticeSpec]:
     return None
 
 
+def _row_dim(cfg: ExperimentConfig) -> int:
+    """Levels d of the suite's rows: a custom lattice's, whatever n_qubits says."""
+    lattice = _lattice_for(cfg)
+    return 2 ** (cfg.n_qubits if lattice is None else lattice.num_qubits)
+
+
 def _draw_instance(cfg: ExperimentConfig, rng: np.random.Generator):
     """One (basis, c_true) draw; coefficients uniform on (0, 1)."""
     lattice = _lattice_for(cfg)
@@ -164,7 +170,7 @@ def _all_levels_separated(basis: OperatorBasis, c_true: np.ndarray) -> bool:
 
 def _row_tasks(cfg: ExperimentConfig) -> list:
     """(row_id, instance_index, eigen_index-or-None) for the whole suite."""
-    d = 2**cfg.n_qubits
+    d = _row_dim(cfg)
     pol = cfg.eigen_index_policy
     sweep = cfg.preset == "level_sweep" or pol == "all"
     n_instances = 1 if cfg.preset == "level_sweep" else cfg.num_instances
@@ -236,25 +242,26 @@ def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_inde
     return _finish_row(row_id, basis, record, solve_cfg.seed, result, t0)
 
 
-# Rows a lockstep worker stacks at d <= STACK_DIM_MAX; wider rows go one
-# per worker. Measured (2 cores, one BLAS thread): at d = 16, m = 3 a
-# stacked evaluation costs 184 us a row alone, 96 at 8 rows and 111 to 116
-# at 12 to 32 (the eigh, about 70 us a row, does not shrink); 8, 12 and 16
-# rows a worker took about 40%, 43% and 45% less CPU than a thread pool of
-# single rows on generic n=4 suites, for 2.3, 3.2 and 3.9 MB more peak
-# memory, so 8. On generic suites at d = 4 and d = 8, 8 rows a worker also
-# took less CPU than 1 or 4. At d = 32 two rows cost what one does and four
-# cost more, and at d = 64 four cost 1.1x to 1.7x a row, so wide rows are
-# not stacked.
+# Rows the one lockstep worker stacks at d <= STACK_DIM_MAX; wider rows go
+# one per worker to a thread pool. Measured (2 cores, one BLAS thread): at
+# d = 16, m = 3 a stacked evaluation costs 184 us a row alone, 96 at 8 rows
+# and 111 to 116 at 12 to 32 (the eigh, about 70 us a row, does not
+# shrink). A second stacking worker at d = 16 bought no wall time and cost
+# about a quarter more CPU (the GIL serialises the workers' small calls),
+# hence one. With one worker, 8, 16, 24 and 40 rows took the same CPU on a
+# generic n=4 suite of 40 rows within run-to-run noise (1.8 to 2.8 s), at
+# 38.2, 39.2, 40.2 and 41.9 MB peak memory, so 8. On generic suites at
+# d = 4 and d = 8, 8 rows a worker also took less CPU than 1 or 4. At
+# d = 32 two rows cost what one does and four cost more, and at d = 64 four
+# cost 1.1x to 1.7x a row, so wide rows are not stacked; there the pool was
+# worth 1.1x to 1.5x in wall time at d = 64 to 128.
 ROWS_IN_FLIGHT = 8
 STACK_DIM_MAX = 16
 
 
 def _rows_in_flight(cfg: ExperimentConfig) -> int:
-    """Rows each lockstep worker stacks, from the dimension the rows have."""
-    lattice = _lattice_for(cfg)
-    d = 2 ** (cfg.n_qubits if lattice is None else lattice.num_qubits)
-    return ROWS_IN_FLIGHT if d <= STACK_DIM_MAX else 1
+    """Rows a lockstep worker stacks, from the dimension the rows have."""
+    return ROWS_IN_FLIGHT if _row_dim(cfg) <= STACK_DIM_MAX else 1
 
 
 @dataclass
@@ -271,15 +278,15 @@ class _Flight:
     x: np.ndarray
 
 
-def _answers(flights: list) -> list:
+def _answers(flights: list, ops: tuple) -> list:
     """(f, grad) at each flight's point, or the exception evaluating it raised.
 
-    One stacked evaluation answers all of them (the rows of a suite share
-    dim and size). If it raises, each row is evaluated alone, so a failure
-    is charged to the row that raises it, with the message it raises alone.
+    One stacked evaluation over ops, the flights' stacked operands, answers
+    all of them. If it raises, each row is evaluated alone, so a failure is
+    charged to the row that raises it, with the message it raises alone.
     """
     try:
-        fs, gs = evaluate_batch([fl.objective for fl in flights], [fl.x for fl in flights])
+        fs, gs = evaluate_stacked(ops, [fl.x for fl in flights])
         return list(zip(fs, gs))
     except Exception:
         pass
@@ -297,11 +304,13 @@ def _lockstep_worker(cfg: ExperimentConfig, tasks: collections.deque, per_worker
 
     Every step answers the pending point of each row in flight with one
     stacked evaluation; a row that ends is replaced by the next task. The
-    workers share `tasks` (deque.popleft is atomic). Returns {row_id:
+    rows' operands are stacked again only when the rows in flight change.
+    Workers may share `tasks` (deque.popleft is atomic). Returns {row_id:
     ResultRow, or the exception the row raised} for the rows solved here.
     """
     done = {}
     flights = []
+    ops = None  # the flights' stacked operands; None once the flights change
     while True:
         while len(flights) < per_worker:
             try:
@@ -313,12 +322,15 @@ def _lockstep_worker(cfg: ExperimentConfig, tasks: collections.deque, per_worker
                 basis, record, solve_cfg = _start_row(cfg, row_id, instance_index, eigen_index)
                 obj, steps = solve_steps(basis, record.a, solve_cfg)
                 flights.append(_Flight(row_id, t0, basis, record, solve_cfg.seed, obj, steps, next(steps)))
+                ops = None
             except Exception as exc:
                 done[row_id] = exc
         if not flights:
             return done
+        if ops is None:
+            ops = stack_operands([fl.objective for fl in flights])
         waiting = []
-        for fl, answer in zip(flights, _answers(flights)):
+        for fl, answer in zip(flights, _answers(flights, ops)):
             try:
                 if isinstance(answer, Exception):
                     raise answer
@@ -331,15 +343,20 @@ def _lockstep_worker(cfg: ExperimentConfig, tasks: collections.deque, per_worker
                     done[fl.row_id] = exc
             except Exception as exc:
                 done[fl.row_id] = exc
+        if len(waiting) < len(flights):
+            ops = None
         flights = waiting
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     """Run the full suite; rows come back in instance-id order.
 
-    threads = 1 solves one row at a time. threads = T >= 2 starts T lockstep
-    workers that share the suite's tasks (see _lockstep_worker). The rows are
-    the same bits either way but wall_ms; an exception raised by any row is
+    threads = 1 solves one row at a time. With threads = T >= 2, rows of
+    d <= STACK_DIM_MAX are solved by one lockstep worker (see
+    _lockstep_worker) in the calling thread, ROWS_IN_FLIGHT rows at a time:
+    a second worker would only contend for the GIL. Wider rows go to T
+    workers of one row each, which share the suite's tasks. The rows are the
+    same bits either way but wall_ms; an exception raised by any row is
     raised here, the lowest row id's first, as the serial run raises it.
     """
     require_int("threads", threads, 1)
@@ -347,11 +364,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     if threads == 1:
         return [_run_row(cfg, *t) for t in tasks]
     pending, per_worker = collections.deque(tasks), _rows_in_flight(cfg)
-    done = {}
-    with ThreadPoolExecutor(max_workers=threads) as executor:
-        workers = [executor.submit(_lockstep_worker, cfg, pending, per_worker) for _ in range(threads)]
-        for w in workers:
-            done.update(w.result())
+    if per_worker > 1:
+        done = _lockstep_worker(cfg, pending, per_worker)
+    else:
+        done = {}
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            workers = [executor.submit(_lockstep_worker, cfg, pending, 1) for _ in range(threads)]
+            for w in workers:
+                done.update(w.result())
     rows = [done[row_id] for row_id, _, _ in tasks]
     for row in rows:
         if isinstance(row, Exception):

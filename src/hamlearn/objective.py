@@ -180,10 +180,27 @@ def _gradient(ops: tuple, fwd: dict) -> np.ndarray:
     return np.ascontiguousarray(grad)  # not a strided view of the complex traces
 
 
-def _stack_ops(objectives: Sequence["ReconstructionObjective"]) -> tuple:
+def stack_operands(objectives: Sequence["ReconstructionObjective"]) -> tuple:
+    """The kernel's operands of objectives that share dim and size, stacked
+    on a leading row axis, for evaluate_stacked."""
     if len(objectives) == 1:  # views: no copy of a wide row's operands
         return tuple(part[None] for part in objectives[0]._ops)
     return tuple(np.stack(parts) for parts in zip(*(obj._ops for obj in objectives)))
+
+
+def evaluate_stacked(ops: tuple, xs: Sequence[np.ndarray]):
+    """(f, grad) of row k of stacked operands at xs[k] for every k, in one pass.
+
+    ops is stack_operands' result; a caller that evaluates the same rows
+    step after step stacks them once. Each row gets the bits that value and
+    gradient give it alone; a row that would raise there makes the whole
+    call raise (no row is attributed).
+    """
+    x = np.asarray(xs, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x contains non-finite entries")
+    fwd = _forward(ops, x)
+    return fwd["f"].tolist(), _gradient(ops, fwd)
 
 
 def evaluate_batch(objectives: Sequence["ReconstructionObjective"], xs: Sequence[np.ndarray]):
@@ -193,12 +210,7 @@ def evaluate_batch(objectives: Sequence["ReconstructionObjective"], xs: Sequence
     value and gradient give it alone; a row that would raise there makes
     the whole call raise (no row is attributed).
     """
-    x = np.asarray(xs, dtype=float)
-    if not np.isfinite(x).all():
-        raise ValueError("x contains non-finite entries")
-    ops = _stack_ops(objectives)
-    fwd = _forward(ops, x)
-    return fwd["f"].tolist(), _gradient(ops, fwd)
+    return evaluate_stacked(stack_operands(objectives), xs)
 
 
 class ReconstructionObjective:

@@ -20,7 +20,7 @@ from hamlearn.harness import (
     summarize,
     write_rows,
 )
-from hamlearn.objective import ReconstructionObjective
+from hamlearn.objective import ReconstructionObjective, stack_operands
 from hamlearn.operators import LatticeSpec, basis_generic, eigenstate_measurements
 from hamlearn.optimizer import SolveConfig
 
@@ -49,6 +49,14 @@ class TestConfig:
     def test_custom_needs_lattice(self):
         with pytest.raises(ValueError):
             ExperimentConfig(preset="custom", n_qubits=3, num_instances=1)
+
+    def test_custom_levels_follow_lattice(self):
+        # a custom lattice's rows have 2**lattice.num_qubits levels, whatever n_qubits says
+        custom = dict(preset="custom", n_qubits=1, m_terms=None, lattice=LatticeSpec.chain(2))
+        assert len(_row_tasks(small_config(num_instances=1, eigen_index_policy="all", **custom))) == 4
+        assert small_config(eigen_index_policy=3, **custom).eigen_index_policy == 3
+        with pytest.raises(ValueError, match="out of range"):
+            small_config(eigen_index_policy=4, **custom)
 
     def test_bad_policy(self):
         with pytest.raises(ValueError):
@@ -168,10 +176,12 @@ class TestRunExperiment:
             for threads in (2, 3):
                 assert [without_wall(r) for r in run_experiment(cfg, threads=threads)] == serial
 
-    def test_lockstep_under_contention(self):
+    def test_lockstep_under_contention(self, monkeypatch):
         # more workers than cores, a switch interval short enough to
-        # interleave them everywhere, and rows stacked across rows of a
-        # suite: every row must still come back once, as the serial run has it
+        # interleave them everywhere, and workers sharing a suite's tasks:
+        # every row must still come back once, as the serial run has it.
+        # d = 4 rows count as wide here, so they take the thread pool
+        monkeypatch.setattr(harness, "STACK_DIM_MAX", 2)
         cfg = small_config(num_instances=9)
         serial = [without_wall(r) for r in run_experiment(cfg, threads=1)]
         out = []
@@ -185,6 +195,35 @@ class TestRunExperiment:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert [without_wall(r) for r in out[0]] == serial
+
+    def test_narrow_rows_start_no_thread(self, monkeypatch):
+        # at d <= STACK_DIM_MAX one lockstep worker runs in the calling thread
+        cfg = small_config()
+        serial = [without_wall(r) for r in run_experiment(cfg, threads=1)]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        assert [without_wall(r) for r in run_experiment(cfg, threads=3)] == serial
+
+    def test_refills_match_serial(self, monkeypatch):
+        # more rows than ROWS_IN_FLIGHT: rows leave mid-stack, new ones fill
+        # their slots, and the operands are stacked again each time, and
+        # only then. A stale stack that no longer has one row a point would
+        # be answered row by row, so the row counts are checked directly
+        cfg = small_config(num_instances=20)
+        assert cfg.num_instances > harness.ROWS_IN_FLIGHT
+        serial = [without_wall(r) for r in run_experiment(cfg, threads=1)]
+        stacks, steps = [], []
+        stack, evaluate = harness.stack_operands, harness.evaluate_stacked
+        monkeypatch.setattr(harness, "stack_operands", lambda objs: stacks.append(len(objs)) or stack(objs))
+        monkeypatch.setattr(
+            harness, "evaluate_stacked", lambda ops, xs: steps.append((len(ops[2]), len(xs))) or evaluate(ops, xs)
+        )
+        assert [without_wall(r) for r in run_experiment(cfg, threads=2)] == serial
+        assert all(rows == points for rows, points in steps)
+        assert cfg.num_instances / harness.ROWS_IN_FLIGHT < len(stacks) < len(steps) / 10
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_row_error_propagates(self, monkeypatch, threads):
@@ -219,7 +258,7 @@ class TestRunExperiment:
             rec = eigenstate_measurements(basis, rng.uniform(0, 1, 2), 1)
             x = np.array([np.nan, 0.0]) if i == 1 else rng.uniform(-1, 1, 2)
             flights.append(SimpleNamespace(objective=ReconstructionObjective(basis, rec.a), x=x))
-        answers = harness._answers(flights)
+        answers = harness._answers(flights, stack_operands([fl.objective for fl in flights]))
         assert isinstance(answers[1], ValueError)
         for i in (0, 2):
             alone = ReconstructionObjective(flights[i].objective.basis, flights[i].objective.a)

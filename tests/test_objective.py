@@ -276,7 +276,7 @@ class TestStackedKernel:
             objs.append(ReconstructionObjective(basis, rec.a))
             xs.append(x * norm / np.linalg.norm(x))
         fs, gs = obj_mod.evaluate_batch(objs, xs)
-        spectra = obj_mod._forward(obj_mod._stack_ops(objs), np.asarray(xs))["lam"]
+        spectra = obj_mod._forward(obj_mod.stack_operands(objs), np.asarray(xs))["lam"]
         for obj, x, f, g, lam in zip(objs, xs, fs, gs, spectra):
             alone = ReconstructionObjective(obj.basis, obj.a)
             assert f == alone.value(x)
