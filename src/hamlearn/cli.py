@@ -117,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="1 (default) solves one row at a time; T >= 2 solves rows of d <= 16 "
         "in lockstep on one worker, evaluating all their pending points in one "
-        "stacked call per step, and wider rows on T workers of one row each; rows "
-        "are identical either way but wall_ms",
+        "stacked call per step, and runs wider rows one at a time on a pool of T "
+        "threads; rows are identical either way but wall_ms",
     )
     p_exp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_exp.set_defaults(func=cmd_exp)

@@ -242,26 +242,21 @@ def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_inde
     return _finish_row(row_id, basis, record, solve_cfg.seed, result, t0)
 
 
-# Rows the one lockstep worker stacks at d <= STACK_DIM_MAX; wider rows go
-# one per worker to a thread pool. Measured (2 cores, one BLAS thread): at
+# Rows the lockstep worker stacks at d <= STACK_DIM_MAX; wider rows run
+# _run_row, one per thread of a pool. Measured (2 cores, one BLAS thread): at
 # d = 16, m = 3 a stacked evaluation costs 184 us a row alone, 96 at 8 rows
 # and 111 to 116 at 12 to 32 (the eigh, about 70 us a row, does not
 # shrink). A second stacking worker at d = 16 bought no wall time and cost
 # about a quarter more CPU (the GIL serialises the workers' small calls),
-# hence one. With one worker, 8, 16, 24 and 40 rows took the same CPU on a
-# generic n=4 suite of 40 rows within run-to-run noise (1.8 to 2.8 s), at
-# 38.2, 39.2, 40.2 and 41.9 MB peak memory, so 8. On generic suites at
-# d = 4 and d = 8, 8 rows a worker also took less CPU than 1 or 4. At
-# d = 32 two rows cost what one does and four cost more, and at d = 64 four
-# cost 1.1x to 1.7x a row, so wide rows are not stacked; there the pool was
-# worth 1.1x to 1.5x in wall time at d = 64 to 128.
+# hence one. 8, 16, 24 and 40 rows took the same CPU on a generic n=4
+# suite of 40 rows within run-to-run noise (1.8 to 2.8 s), at 38.2, 39.2,
+# 40.2 and 41.9 MB peak memory, so 8. On generic suites at d = 4 and d = 8,
+# 8 rows also took less CPU than 1 or 4. At d = 32 two rows cost what one
+# does and four cost more, and at d = 64 four cost 1.1x to 1.7x a row, so
+# wide rows are not stacked; there the pool was worth 1.1x to 1.5x in wall
+# time at d = 64 to 128.
 ROWS_IN_FLIGHT = 8
 STACK_DIM_MAX = 16
-
-
-def _rows_in_flight(cfg: ExperimentConfig) -> int:
-    """Rows a lockstep worker stacks, from the dimension the rows have."""
-    return ROWS_IN_FLIGHT if _row_dim(cfg) <= STACK_DIM_MAX else 1
 
 
 @dataclass
@@ -299,24 +294,21 @@ def _answers(flights: list, ops: tuple) -> list:
     return out
 
 
-def _lockstep_worker(cfg: ExperimentConfig, tasks: collections.deque, per_worker: int) -> dict:
-    """Solve rows taken from `tasks`, up to per_worker of them in lockstep.
+def _lockstep_worker(cfg: ExperimentConfig, tasks: list) -> dict:
+    """Solve the rows of `tasks`, up to ROWS_IN_FLIGHT of them in lockstep.
 
     Every step answers the pending point of each row in flight with one
     stacked evaluation; a row that ends is replaced by the next task. The
     rows' operands are stacked again only when the rows in flight change.
-    Workers may share `tasks` (deque.popleft is atomic). Returns {row_id:
-    ResultRow, or the exception the row raised} for the rows solved here.
+    Returns {row_id: ResultRow, or the exception the row raised}.
     """
+    pending = collections.deque(tasks)
     done = {}
     flights = []
     ops = None  # the flights' stacked operands; None once the flights change
     while True:
-        while len(flights) < per_worker:
-            try:
-                row_id, instance_index, eigen_index = tasks.popleft()
-            except IndexError:
-                break
+        while pending and len(flights) < ROWS_IN_FLIGHT:
+            row_id, instance_index, eigen_index = pending.popleft()
             t0 = time.perf_counter()
             try:
                 basis, record, solve_cfg = _start_row(cfg, row_id, instance_index, eigen_index)
@@ -354,24 +346,19 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     threads = 1 solves one row at a time. With threads = T >= 2, rows of
     d <= STACK_DIM_MAX are solved by one lockstep worker (see
     _lockstep_worker) in the calling thread, ROWS_IN_FLIGHT rows at a time:
-    a second worker would only contend for the GIL. Wider rows go to T
-    workers of one row each, which share the suite's tasks. The rows are the
-    same bits either way but wall_ms; an exception raised by any row is
-    raised here, the lowest row id's first, as the serial run raises it.
+    a second worker would only contend for the GIL. Wider rows run _run_row,
+    as the serial run does, in a pool of T threads. The rows are the same
+    bits either way but wall_ms; an exception raised by any row is raised
+    here, the lowest row id's first, as the serial run raises it.
     """
     require_int("threads", threads, 1)
     tasks = _row_tasks(cfg)
     if threads == 1:
         return [_run_row(cfg, *t) for t in tasks]
-    pending, per_worker = collections.deque(tasks), _rows_in_flight(cfg)
-    if per_worker > 1:
-        done = _lockstep_worker(cfg, pending, per_worker)
-    else:
-        done = {}
+    if _row_dim(cfg) > STACK_DIM_MAX:
         with ThreadPoolExecutor(max_workers=threads) as executor:
-            workers = [executor.submit(_lockstep_worker, cfg, pending, 1) for _ in range(threads)]
-            for w in workers:
-                done.update(w.result())
+            return list(executor.map(lambda t: _run_row(cfg, *t), tasks))
+    done = _lockstep_worker(cfg, tasks)
     rows = [done[row_id] for row_id, _, _ in tasks]
     for row in rows:
         if isinstance(row, Exception):

@@ -22,8 +22,6 @@ import numpy as np
 from . import linalg
 from .operators import OperatorBasis
 
-IMAG_RESIDUE_TOL = 1e-8
-
 
 @dataclass
 class GraphEval:
@@ -58,38 +56,6 @@ def first_positive_gap(spectrum: np.ndarray, tol: float = 1e-12) -> float:
     return 0.0
 
 
-def _real_traces(values: np.ndarray, scales=1.0) -> np.ndarray:
-    """Real parts of an array of traces that are real in exact arithmetic.
-
-    scales carries the conditioning of each expression (product of operand
-    norms); the imaginary residue is judged against it, since traces of large
-    nearly-cancelling products legitimately carry round-off of that size.
-    """
-    residue = np.abs(values.imag)
-    worst = float(residue.max())
-    # every bound is at least IMAG_RESIDUE_TOL, so only a larger residue can fail
-    if worst > IMAG_RESIDUE_TOL:
-        bound = IMAG_RESIDUE_TOL * np.maximum(1.0, np.maximum(np.abs(values.real), scales))
-        if np.any(residue > bound):
-            raise RuntimeError(f"trace expected real, imaginary residue {worst:.3e}")
-    return values.real
-
-
-def _real_rows(values: np.ndarray, row_scales=None) -> np.ndarray:
-    """Real parts of traces with leading row axes, each row judged by _real_traces.
-
-    row_scales(k), when given, builds the scales of row k (counted over the
-    flattened row axes). It runs only for a row with a residue above
-    IMAG_RESIDUE_TOL, below which no bound can fail.
-    """
-    residue = np.abs(values.imag)
-    if residue.max() > IMAG_RESIDUE_TOL:
-        m = values.shape[-1]
-        for k in np.flatnonzero(residue.reshape(-1, m).max(axis=1) > IMAG_RESIDUE_TOL):
-            _real_traces(values.reshape(-1, m)[k], 1.0 if row_scales is None else row_scales(k))
-    return values.real
-
-
 # The kernel. Leading axes of x and of the operands are row axes: none for
 # one objective at one x, one of length K for a stack. Every step is an @,
 # an eigh, an elementwise operation or a sum over the last axis, each of
@@ -120,7 +86,7 @@ def _forward(ops: tuple, x: np.ndarray) -> dict:
     v6 = v4s / v5s[..., None]
     v6 = (v6 + v6.conj().swapaxes(-1, -2)) / 2
     # tr(A_j v6) for every j: one product with v6^T raveled
-    v7 = _real_rows((a_flat @ v6.swapaxes(-1, -2).reshape(rows + (dd, 1)))[..., 0]) - a
+    v7 = linalg._real_rows((a_flat @ v6.swapaxes(-1, -2).reshape(rows + (dd, 1)))[..., 0]) - a
     v8 = _dot(v7, v7)
     # tr(v3 v6) in the shared eigenbasis; v3 is PSD, so clip the tiny
     # negative eigh round-off (visible at ||x|| ~ 1e2+) to keep f >= 0
@@ -176,15 +142,13 @@ def _gradient(ops: tuple, fwd: dict) -> np.ndarray:
     s = hg + hg.conj().swapaxes(-1, -2)
     traces = (b_flat @ s.swapaxes(-1, -2).reshape(rows + (d * d, 1)))[..., 0]
     m = traces.shape[-1]
-    grad = _real_rows(traces, lambda k: b_norms.reshape(-1, m)[k] * np.linalg.norm(s.reshape(-1, d, d)[k]))
+    grad = linalg._real_rows(traces, lambda k: b_norms.reshape(-1, m)[k] * np.linalg.norm(s.reshape(-1, d, d)[k]))
     return np.ascontiguousarray(grad)  # not a strided view of the complex traces
 
 
 def stack_operands(objectives: Sequence["ReconstructionObjective"]) -> tuple:
     """The kernel's operands of objectives that share dim and size, stacked
     on a leading row axis, for evaluate_stacked."""
-    if len(objectives) == 1:  # views: no copy of a wide row's operands
-        return tuple(part[None] for part in objectives[0]._ops)
     return tuple(np.stack(parts) for parts in zip(*(obj._ops for obj in objectives)))
 
 
@@ -201,16 +165,6 @@ def evaluate_stacked(ops: tuple, xs: Sequence[np.ndarray]):
         raise ValueError("x contains non-finite entries")
     fwd = _forward(ops, x)
     return fwd["f"].tolist(), _gradient(ops, fwd)
-
-
-def evaluate_batch(objectives: Sequence["ReconstructionObjective"], xs: Sequence[np.ndarray]):
-    """(f, grad) of objective k at xs[k] for every k, in one stacked pass.
-
-    The objectives must share dim and size. Each row gets the bits that
-    value and gradient give it alone; a row that would raise there makes
-    the whole call raise (no row is attributed).
-    """
-    return evaluate_stacked(stack_operands(objectives), xs)
 
 
 class ReconstructionObjective:

@@ -235,12 +235,9 @@ def eigenstate_measurements(
             f"(gap {w[eigen_index + 1] - w[eigen_index]:.3e})"
         )
     psi = u[:, eigen_index]
-    a = np.empty(basis.size)
-    for k, term in enumerate(basis.terms):
-        val = psi.conj() @ (term @ psi)
-        if abs(val.imag) > 1e-8:
-            raise RuntimeError(f"expectation of Hermitian term has imaginary part {val.imag:.3e}")
-        a[k] = val.real
+    values = np.array([psi.conj() @ (term @ psi) for term in basis.terms])
+    # an expectation's round-off grows with its term's norm
+    a = np.ascontiguousarray(linalg._real_rows(values, lambda k: np.linalg.norm(basis.terms, axis=(1, 2))))
     truth = Truth(c_true=c.copy(), eigen_index=eigen_index, lambda_true=float(w[eigen_index]))
     return MeasurementRecord(basis_ref=basis_ref, a=a, truth=truth)
 

@@ -19,6 +19,7 @@ INIT_LOW, INIT_HIGH = -1.0, 1.0  # uniform range of each restart's x0
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient-decrease and curvature constants
 LINE_SEARCH_MAX_EVALS = 60  # objective evaluations one line search may spend
 HOPS_PER_RESTART = 12  # outward basin-hop proposals after each stall
+RANGE_SLACK = 1e-10  # a measurement's round-off past its term's range, per unit of spectral radius
 
 
 def require_int(name: str, value, minimum: Optional[int] = None) -> None:
@@ -261,7 +262,8 @@ def bfgs_minimize(
 
 
 def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
-    """Each a_i must be finite and lie in the numerical range of A_i (up to tolerance)."""
+    """Each a_i must be finite and lie in the numerical range of A_i, up to
+    RANGE_SLACK times the larger of 1 and A_i's spectral radius."""
     a = np.asarray(a, dtype=float)
     if a.shape != (basis.size,):
         raise ValueError(f"measurement vector length {a.shape} != basis size {basis.size}")
@@ -270,7 +272,8 @@ def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
         raise ValueError(f"measurement a[{k}] = {a[k]} is not finite")
     for k, term in enumerate(basis.terms):
         w = np.linalg.eigvalsh(term)
-        if a[k] < w[0] - 1e-10 or a[k] > w[-1] + 1e-10:
+        slack = RANGE_SLACK * max(1.0, abs(w[0]), abs(w[-1]))
+        if a[k] < w[0] - slack or a[k] > w[-1] + slack:
             raise ValueError(
                 f"measurement a[{k}] = {a[k]:.6g} outside the numerical range "
                 f"[{w[0]:.6g}, {w[-1]:.6g}] of term {basis.labels[k]}"

@@ -177,10 +177,10 @@ class TestRunExperiment:
                 assert [without_wall(r) for r in run_experiment(cfg, threads=threads)] == serial
 
     def test_lockstep_under_contention(self, monkeypatch):
-        # more workers than cores, a switch interval short enough to
-        # interleave them everywhere, and workers sharing a suite's tasks:
-        # every row must still come back once, as the serial run has it.
-        # d = 4 rows count as wide here, so they take the thread pool
+        # more _run_row threads than cores and a switch interval short
+        # enough to interleave them everywhere: every row must still come
+        # back once, as the serial run has it. d = 4 rows count as wide
+        # here, so they take the thread pool
         monkeypatch.setattr(harness, "STACK_DIM_MAX", 2)
         cfg = small_config(num_instances=9)
         serial = [without_wall(r) for r in run_experiment(cfg, threads=1)]
@@ -239,14 +239,19 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"^row 1 cannot be drawn$"):
             run_experiment(small_config(num_instances=4), threads=threads)
 
-    def test_rows_in_flight_follow_row_dimension(self):
-        # a custom lattice sets the rows' dimension, whatever n_qubits says
-        assert harness._rows_in_flight(small_config()) == harness.ROWS_IN_FLIGHT
-        assert harness._rows_in_flight(small_config(n_qubits=5)) == 1
+    def test_rows_in_flight_follow_row_dimension(self, monkeypatch):
+        # a custom lattice sets the rows' dimension, whatever n_qubits says:
+        # wide rows run _run_row in a pool, narrow ones start no thread
+        pools = []
+        pool = harness.ThreadPoolExecutor
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
+        monkeypatch.setattr(harness, "_run_row", lambda cfg, row_id, *args: row_id)
         wide = small_config(preset="custom", n_qubits=1, m_terms=None, lattice=LatticeSpec.chain(5))
-        assert harness._rows_in_flight(wide) == 1
+        assert run_experiment(wide, threads=2) == [0, 1, 2]
+        assert pools == [{"max_workers": 2}]
         narrow = small_config(preset="custom", n_qubits=6, m_terms=None, lattice=LatticeSpec.chain(2))
-        assert harness._rows_in_flight(narrow) == harness.ROWS_IN_FLIGHT
+        assert len(run_experiment(narrow, threads=2)) == 3
+        assert len(pools) == 1
 
     def test_failed_stack_answered_row_by_row(self):
         # one row's non-finite point makes the stacked evaluation raise; each

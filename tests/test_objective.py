@@ -275,7 +275,7 @@ class TestStackedKernel:
             x = rng.normal(size=basis.size)
             objs.append(ReconstructionObjective(basis, rec.a))
             xs.append(x * norm / np.linalg.norm(x))
-        fs, gs = obj_mod.evaluate_batch(objs, xs)
+        fs, gs = obj_mod.evaluate_stacked(obj_mod.stack_operands(objs), xs)
         spectra = obj_mod._forward(obj_mod.stack_operands(objs), np.asarray(xs))["lam"]
         for obj, x, f, g, lam in zip(objs, xs, fs, gs, spectra):
             alone = ReconstructionObjective(obj.basis, obj.a)
@@ -301,7 +301,7 @@ class TestStackedKernel:
         bad = x.copy()
         bad[0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            obj_mod.evaluate_batch([obj, obj], [x, bad])
+            obj_mod.evaluate_stacked(obj_mod.stack_operands([obj, obj]), [x, bad])
 
 
 class TestShiftedTerms:
@@ -318,22 +318,22 @@ class TestShiftedTerms:
 
 class TestRealTraceGuard:
     def test_accepts_small_residue(self):
-        assert obj_mod._real_traces(np.array([1.0 + 1e-12j]))[0] == 1.0
+        assert linalg._real_rows(np.array([1.0 + 1e-12j]))[0] == 1.0
 
     def test_rejects_large_residue(self):
         with pytest.raises(RuntimeError):
-            obj_mod._real_traces(np.array([1.0 + 1e-3j]))
+            linalg._real_rows(np.array([1.0 + 1e-3j]))
 
     def test_scale_widens_tolerance(self):
-        assert obj_mod._real_traces(np.array([1.0 + 1e-3j]), np.array([1e6]))[0] == 1.0
+        assert linalg._real_rows(np.array([1.0 + 1e-3j]), lambda k: np.array([1e6]))[0] == 1.0
 
     def test_stack_rows_judged_apart(self):
         values = np.array([[1.0 + 1e-12j, 2.0], [3.0 + 1e-3j, 2.0]])
-        assert np.array_equal(obj_mod._real_rows(values[:1]), [[1.0, 2.0]])
+        assert np.array_equal(linalg._real_rows(values[:1]), [[1.0, 2.0]])
         with pytest.raises(RuntimeError, match="1.000e-03"):
-            obj_mod._real_rows(values)
+            linalg._real_rows(values)
         # the same row passes under a bound its scales widen, as one row does
-        assert np.array_equal(obj_mod._real_rows(values, lambda k: np.array([1e6, 1e6])), [[1.0, 2.0], [3.0, 2.0]])
+        assert np.array_equal(linalg._real_rows(values, lambda k: np.array([1e6, 1e6])), [[1.0, 2.0], [3.0, 2.0]])
 
     def test_stack_scales_built_only_past_tolerance(self):
         calls = []
@@ -343,8 +343,8 @@ class TestRealTraceGuard:
             return 1.0
 
         small = np.array([[1.0 + 1e-9j], [2.0 - 1e-10j]])
-        assert np.array_equal(obj_mod._real_rows(small, scales), [[1.0], [2.0]])
+        assert np.array_equal(linalg._real_rows(small, scales), [[1.0], [2.0]])
         assert calls == []
         with pytest.raises(RuntimeError):
-            obj_mod._real_rows(np.array([[1.0 + 1e-9j], [2.0 + 1e-7j]]), scales)
+            linalg._real_rows(np.array([[1.0 + 1e-9j], [2.0 + 1e-7j]]), scales)
         assert calls == [1]  # only the row whose residue exceeds the tolerance

@@ -150,6 +150,18 @@ class TestMeasurements:
                 rec = eigenstate_measurements(basis, c, k)
                 assert abs(c @ rec.a - w[k]) < 1e-10
 
+    def test_large_norm_basis_accepted(self):
+        # expectations of exactly Hermitian terms of norm ~1e9 carry
+        # imaginary round-off above 1e-8, which each term's norm accounts for
+        rng = np.random.default_rng(0)
+        basis = basis_generic(16, 3, rng)
+        c = rng.uniform(0, 1, 3)
+        big = OperatorBasis(dim=16, terms=[1e8 * t for t in basis.terms], labels=basis.labels)
+        w = np.linalg.eigvalsh(assemble(big, c))
+        for k in range(16):
+            rec = eigenstate_measurements(big, c, k)
+            assert abs(c @ rec.a - w[k]) < 1e-10 * 1e8
+
     def test_numerical_range(self):
         rng = np.random.default_rng(59)
         basis = basis_generic(4, 2, rng)

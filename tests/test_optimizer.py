@@ -166,6 +166,22 @@ class TestMeasurementRange:
         with pytest.raises(ValueError):
             check_measurement_range(basis, [1.5])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e4, 1e6])
+    def test_accepts_edge_levels_of_large_norm_term(self, scale):
+        # a term's expectation in its lowest or highest eigenstate sits on the
+        # range's edge, up to round-off that grows with the term's norm
+        for seed in range(20):
+            term = scale * basis_generic(16, 1, np.random.default_rng(seed)).terms[0]
+            basis = OperatorBasis(dim=16, terms=[term], labels=["A1"])
+            for k in (0, 15):
+                check_measurement_range(basis, eigenstate_measurements(basis, [1.0], k).a)
+
+    def test_slack_scales_with_spectral_radius(self):
+        basis = OperatorBasis(dim=2, terms=[1e6 * PAULI_Z], labels=["z"])
+        check_measurement_range(basis, [1e6 + 1e-5])
+        with pytest.raises(ValueError, match="outside the numerical range"):
+            check_measurement_range(basis, [1e6 + 1e-3])
+
     def test_rejects_wrong_length(self):
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
         with pytest.raises(ValueError):
