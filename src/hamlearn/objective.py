@@ -225,15 +225,21 @@ class ReconstructionObjective:
         return _gradient(self._ops, self._forward(x))
 
     def graph(self, x) -> GraphEval:
-        """Full node-by-node evaluation, with v4/v5 reported unshifted."""
+        """Full node-by-node evaluation, with v4/v5 reported unshifted.
+
+        v4 and v5 are built from the spectrum of Hs^2 clipped at 0, as
+        diagnostics and v9 clip it: eigh round-off can put the lowest
+        eigenvalue far below 0 at large ||x||, where exp of its negative
+        would overflow. They may underflow to 0; rho is unaffected.
+        """
         fwd = self._forward(x)
-        scale = np.exp(-fwd["mu"][0])  # may underflow to 0 for debug output; rho is unaffected
+        u, w = fwd["u"], np.exp(-np.maximum(fwd["lam"], 0.0))
         return GraphEval(
             x=fwd["x"].copy(),
             v2=fwd["v2"].copy(),
             v3=fwd["v3"].copy(),
-            v4=scale * fwd["v4s"],
-            v5=float(scale * fwd["v5s"][0]),
+            v4=(u * w) @ fwd["uh"],
+            v5=float(w.sum()),
             v6=fwd["v6"].copy(),
             v7=fwd["v7"].copy(),
             v8=float(fwd["v8"]),

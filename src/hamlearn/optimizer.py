@@ -19,6 +19,12 @@ INIT_LOW, INIT_HIGH = -1.0, 1.0  # uniform range of each restart's x0
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient-decrease and curvature constants
 LINE_SEARCH_MAX_EVALS = 60  # objective evaluations one line search may spend
 HOPS_PER_RESTART = 12  # outward basin-hop proposals after each stall
+# A hop back within RETURN_RADIUS * ||x*|| of its home x*, at f >= f*, has
+# returned. Chosen on generic, local_full and level-sweep n = 4 suites
+# (seeds 22, 23, 27, 28): rerun to the end, none of the 1341 hops cut at 0.2
+# would have solved its row and 6 would have ended below f*; at 0.3, 2 of
+# 1490 would have solved it and 27 ended lower, at 0.4, 8 and 103 of 2882.
+RETURN_RADIUS = 0.2
 RANGE_SLACK = 1e-10  # a measurement's round-off past its term's range, per unit of spectral radius
 
 
@@ -74,6 +80,11 @@ class BfgsOutcome(NamedTuple):
     grad_norm: float
     iterations: int
     inv_hessian: np.ndarray
+    # why the run ended. target: f below f_target; gradient: gradient norm
+    # below 1e-12, or below EPS0 when there is no target; iter_cap:
+    # cfg.max_iters iterations; line_search: a line search failed; norm_cap:
+    # a step left ITERATE_NORM_CAP; returned: a hop fell back home
+    stop: str
 
 
 class _LineSearchFailure(Exception):
@@ -178,12 +189,17 @@ def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
     return _drive(_wolfe_steps(f0, g0, c1, c2, max_evals, a_max), lambda a: (phi(a), dphi(a)))
 
 
-def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: Optional[float] = None):
+def _bfgs_steps(
+    x0: np.ndarray, cfg: SolveConfig, f_target: Optional[float] = None, home: Optional[tuple] = None
+):
     """bfgs_minimize as a generator: yields each point x, is sent back
     (f(x), grad f(x)), and returns the BfgsOutcome."""
     x = np.asarray(x0, dtype=float).copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 contains non-finite entries")
+    if home is not None:
+        x_home, f_home = home
+        home_radius = RETURN_RADIUS * _norm(x_home)
     n = x.size
     h = np.eye(n)
     fx, gx = yield x
@@ -191,9 +207,15 @@ def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: Optional[float] = No
     best_x, best_f, best_g = x, fx, gnorm
     first_update = True
     iterations = 0
-    for _ in range(cfg.max_iters):
-        done = fx < f_target if f_target is not None else gnorm < EPS0
-        if done or gnorm < 1e-12:
+    while True:
+        if f_target is not None and fx < f_target:
+            stop = "target"
+            break
+        if gnorm < 1e-12 or (f_target is None and gnorm < EPS0):
+            stop = "gradient"
+            break
+        if iterations == cfg.max_iters:
+            stop = "iter_cap"
             break
         p = -(h @ gx)
         slope = float(p @ gx)
@@ -213,9 +235,10 @@ def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: Optional[float] = No
                 xa = x_alpha[a] = x + a * p
                 fa, g_alpha[a] = yield xa
                 a = search.send((fa, float(g_alpha[a] @ p)))
-        except StopIteration as stop:
-            alpha, f_new = stop.value
+        except StopIteration as found:
+            alpha, f_new = found.value
         except _LineSearchFailure:
+            stop = "line_search"
             break
         iterations += 1
         s = alpha * p
@@ -223,6 +246,7 @@ def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: Optional[float] = No
         if _norm(x_new) > ITERATE_NORM_CAP:
             # far beyond any meaningful inverse-temperature scale; the matrix
             # exponentials are pure round-off out here, so abandon the restart
+            stop = "norm_cap"
             break
         g_new = g_alpha[alpha]
         y = g_new - gx
@@ -239,7 +263,10 @@ def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: Optional[float] = No
         gnorm = _norm(gx)
         if fx < best_f:
             best_x, best_f, best_g = x, fx, gnorm
-    return BfgsOutcome(best_x, best_f, best_g, iterations, h)
+        if home is not None and fx >= f_home and _norm(x - x_home) <= home_radius:
+            stop = "returned"
+            break
+    return BfgsOutcome(best_x, best_f, best_g, iterations, h, stop)
 
 
 def bfgs_minimize(
@@ -248,6 +275,7 @@ def bfgs_minimize(
     x0: np.ndarray,
     cfg: SolveConfig,
     f_target: Optional[float] = None,
+    home: Optional[tuple] = None,
 ) -> BfgsOutcome:
     """BFGS with the standard rank-2 inverse-Hessian update.
 
@@ -255,10 +283,13 @@ def bfgs_minimize(
     given, once the gradient norm is below EPS0 (the flat tail of the
     reconstruction objective has small gradients well before the objective
     itself is small); also at a gradient norm below 1e-12, at the iteration
-    cap, on line-search failure and past ITERATE_NORM_CAP. Always returns
-    the best iterate seen.
+    cap, on line-search failure and past ITERATE_NORM_CAP. A basin hop
+    passes its home (x*, f*), the minimum it was proposed from, and stops
+    as returned after the first iteration that lands within
+    RETURN_RADIUS * ||x*|| of x* with f >= f*: it has fallen back into the
+    basin it left. Always returns the best iterate seen, and why it stopped.
     """
-    return _drive(_bfgs_steps(x0, cfg, f_target), lambda x: (objective(x), grad(x)))
+    return _drive(_bfgs_steps(x0, cfg, f_target, home), lambda x: (objective(x), grad(x)))
 
 
 def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
@@ -301,20 +332,21 @@ def _hop_proposal(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 def _restart_steps(obj: ReconstructionObjective, cfg: SolveConfig):
     """The restart/hop loop of solve_hamiltonian as a generator: yields the
-    start point of each BFGS run, is sent back the run's BfgsOutcome, and
-    returns the SolveResult."""
+    start point and home of each BFGS run, is sent back the run's
+    BfgsOutcome, and returns the SolveResult. A restart has no home (None);
+    a hop's home is the chain's point (x, f), which it was proposed from."""
     rng = np.random.default_rng(cfg.seed)
     best: Optional[BfgsOutcome] = None
     best_x0 = None
     iterations = 0
     for restarts in range(1, cfg.max_restarts + 1):
         x0 = rng.uniform(INIT_LOW, INIT_HIGH, obj.size)
-        outcome = yield x0
+        outcome = yield x0, None
         iterations += outcome.iterations
         for _ in range(HOPS_PER_RESTART):
             if outcome.f < cfg.eps:
                 break
-            hop = yield _hop_proposal(outcome.x, rng)
+            hop = yield _hop_proposal(outcome.x, rng), (outcome.x, outcome.f)
             iterations += hop.iterations
             if hop.f < outcome.f:
                 outcome = hop
@@ -349,7 +381,10 @@ def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None
     short monotone basin-hopping chain (HOPS_PER_RESTART proposals from
     _hop_proposal, keeping a hop only when it improves the chain); spurious
     minimizers cluster at small norm close in angle to deeper basins, so the
-    chains convert many otherwise-wasted restarts into solutions.
+    chains convert many otherwise-wasted restarts into solutions. A hop
+    that falls back near the chain's point without undercutting it is cut
+    short (bfgs_minimize's home): it would almost always settle into the
+    minimum the chain already holds.
 
     Exhausting the restart budget returns the best-so-far iterate with
     converged = False; it is a reportable outcome, not an exception.
@@ -359,7 +394,7 @@ def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None
     obj = _objective(basis, a)
     return _drive(
         _restart_steps(obj, cfg),
-        lambda x0: bfgs_minimize(obj.value, obj.gradient, x0, cfg, f_target=cfg.eps),
+        lambda run: bfgs_minimize(obj.value, obj.gradient, run[0], cfg, f_target=cfg.eps, home=run[1]),
     )
 
 
@@ -380,8 +415,8 @@ def solve_steps(basis: OperatorBasis, a, cfg: SolveConfig):
 def _solve_points(obj: ReconstructionObjective, cfg: SolveConfig):
     runs = _restart_steps(obj, cfg)
     try:
-        x0 = next(runs)
+        x0, home = next(runs)
         while True:
-            x0 = runs.send((yield from _bfgs_steps(x0, cfg, cfg.eps)))
+            x0, home = runs.send((yield from _bfgs_steps(x0, cfg, cfg.eps, home)))
     except StopIteration as stop:
         return stop.value

@@ -176,6 +176,17 @@ class TestRunExperiment:
             for threads in (2, 3):
                 assert [without_wall(r) for r in run_experiment(cfg, threads=threads)] == serial
 
+    def test_threads_match_serial_with_returning_hops(self, bfgs_runs):
+        # a generic n=4 (d = 16) suite whose hops fall back home on every
+        # path: the serial run and the lockstep worker stop them alike
+        cfg = small_config(n_qubits=4, num_instances=4, m_terms=3)
+        serial = [without_wall(r) for r in run_experiment(cfg, threads=1)]
+        for threads in (2, 3):
+            assert "returned" in [out.stop for _, out in bfgs_runs]
+            bfgs_runs.clear()
+            assert [without_wall(r) for r in run_experiment(cfg, threads=threads)] == serial
+        assert "returned" in [out.stop for _, out in bfgs_runs]
+
     def test_lockstep_under_contention(self, monkeypatch):
         # more _run_row threads than cores and a switch interval short
         # enough to interleave them everywhere: every row must still come

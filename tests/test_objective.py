@@ -1,5 +1,7 @@
 """Unit tests for the reconstruction objective and its exact gradient."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -191,6 +193,20 @@ class TestGraphAndDiagnostics:
         assert abs(np.trace(g.v6).real - 1.0) < 1e-12
         assert g.v5 > 0
         assert np.array_equal(g.x, [0.7])
+
+    def test_graph_finite_when_eigh_round_off_is_large(self):
+        # at ||x|| = 1e9 the lowest eigenvalue of Hs^2 comes out of eigh
+        # near -1.2e3, far below its exact 0; exp of its negative overflows
+        rng = np.random.default_rng(1)
+        basis = basis_generic(8, 1, rng)
+        obj = ReconstructionObjective(basis, eigenstate_measurements(basis, [1.0], int(rng.integers(8))).a)
+        assert obj._forward(np.array([1e9]))["mu"][0] < -700
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = obj.graph([1e9])
+        assert np.isfinite(g.v5) and g.v5 > 0
+        assert np.all(np.isfinite(g.v4))
+        assert np.allclose(g.v4 / g.v5, g.v6)
 
     def test_diagnostics(self):
         obj = sigma_z_objective()

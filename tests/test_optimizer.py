@@ -97,6 +97,7 @@ class TestBfgs:
             SolveConfig(),
         )
         assert out.grad_norm < optimizer.EPS0
+        assert out.stop == "gradient"
         assert np.linalg.norm(out.x - sol) < 1e-5
 
     def test_inverse_hessian_estimate(self, monkeypatch):
@@ -140,6 +141,7 @@ class TestBfgs:
             f_target=1e-4,
         )
         assert out.f < 1e-4
+        assert out.stop == "target"
         assert out.grad_norm < 2e-2  # |2x| at the returned x, where x^2 < 1e-4
 
     def test_returns_best_iterate(self):
@@ -154,6 +156,47 @@ class TestBfgs:
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError):
             bfgs_minimize(lambda x: 0.0, lambda x: x, np.array([np.inf]), SolveConfig())
+
+
+def double_well():
+    """f and grad of a line with a spurious minimum near 0.96 and the global one near -1.04."""
+    return (
+        lambda x: float((x[0] ** 2 - 1) ** 2 + 0.3 * x[0]),
+        lambda x: np.array([4 * x[0] * (x[0] ** 2 - 1) + 0.3]),
+    )
+
+
+class TestStopReasons:
+    def test_iter_cap(self):
+        def f(x):
+            return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+
+        def g(x):
+            return np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2), 200 * (x[1] - x[0] ** 2)])
+
+        out = bfgs_minimize(f, g, np.array([-1.2, 1.0]), SolveConfig(max_iters=3))
+        assert (out.stop, out.iterations) == ("iter_cap", 3)
+
+    def test_hop_back_home_returns(self):
+        f, g = double_well()
+        spurious = bfgs_minimize(f, g, np.array([0.3]), SolveConfig())
+        assert spurious.x[0] > 0
+        plain = bfgs_minimize(f, g, np.array([0.7]), SolveConfig())
+        hop = bfgs_minimize(f, g, np.array([0.7]), SolveConfig(), home=(spurious.x, spurious.f))
+        assert (plain.stop, hop.stop) == ("gradient", "returned")
+        assert hop.iterations < plain.iterations
+        # no lower than the home, so it cannot replace the chain's point
+        assert hop.f >= spurious.f
+        assert abs(hop.x[0] - spurious.x[0]) <= optimizer.RETURN_RADIUS * abs(spurious.x[0])
+
+    def test_hop_that_escapes_runs_on(self):
+        # a hop that crosses into the deeper basin runs as if it had no home
+        f, g = double_well()
+        spurious = bfgs_minimize(f, g, np.array([0.3]), SolveConfig())
+        plain = bfgs_minimize(f, g, np.array([1.3]), SolveConfig())
+        hop = bfgs_minimize(f, g, np.array([1.3]), SolveConfig(), home=(spurious.x, spurious.f))
+        assert hop.stop == "gradient" and hop.f < spurious.f
+        assert np.array_equal(hop.x, plain.x) and hop.iterations == plain.iterations
 
 
 class TestMeasurementRange:
@@ -240,9 +283,27 @@ class TestSolveHamiltonian:
         assert not result.converged
         assert result.restarts == 1
 
-    def test_solve_steps_match_solve_hamiltonian(self):
+    def test_returned_hop_keeps_chain_point(self, bfgs_runs):
+        # only hops have a home, and a hop that returned leaves the chain's
+        # point as it was: the next hop of the chain has the same home
+        rng = np.random.default_rng(313)
+        basis = basis_generic(8, 3, rng)
+        rec = eigenstate_measurements(basis, rng.uniform(0, 1, 3), 4)
+        solve_hamiltonian(basis, rec.a, SolveConfig(seed=9, max_restarts=20))
+        assert bfgs_runs[0][0] is None
+        returned = 0
+        for (home, out), (next_home, _) in zip(bfgs_runs, bfgs_runs[1:]):
+            if home is not None and out.stop == "returned":
+                returned += 1
+                assert out.f >= home[1]
+                if next_home is not None:  # the chain goes on
+                    assert next_home[0] is home[0] and next_home[1] == home[1]
+        assert returned > 0
+
+    def test_solve_steps_match_solve_hamiltonian(self, bfgs_runs):
         # the generator that lockstep callers drive, answered by the same
-        # objective calls, returns solve_hamiltonian's result bit for bit
+        # objective calls, returns solve_hamiltonian's result bit for bit,
+        # on an instance where hops return home
         rng = np.random.default_rng(313)
         basis = basis_generic(8, 3, rng)
         rec = eigenstate_measurements(basis, rng.uniform(0, 1, 3), 4)
@@ -261,3 +322,6 @@ class TestSolveHamiltonian:
             k: v for k, v in vars(want).items() if k != "x_opt"
         }
         assert len(points) > got.iterations
+        stops = [out.stop for _, out in bfgs_runs]
+        assert stops[: len(stops) // 2] == stops[len(stops) // 2 :]
+        assert "returned" in stops
