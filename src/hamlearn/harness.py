@@ -90,13 +90,13 @@ class ExperimentConfig:
         require_int("num_instances", self.num_instances, 1)
         require_int("n_qubits", self.n_qubits, 1)
         require_int("seed", self.seed, 0)
+        # a setting no row of the preset reads is refused, not ignored
+        if (self.m_terms is None) == (self.preset == "generic"):
+            raise ValueError(f"m_terms is needed by preset generic and refused by the others, got {self.preset!r}")
+        if (self.lattice is None) == (self.preset == "custom"):
+            raise ValueError(f"lattice is needed by preset custom and refused by the others, got {self.preset!r}")
         if self.m_terms is not None:
-            require_int("m_terms", self.m_terms)
-        if self.preset == "generic":
-            if self.m_terms is None or self.m_terms < 1:
-                raise ValueError("generic preset requires m_terms >= 1")
-        if self.preset == "custom" and self.lattice is None:
-            raise ValueError("custom preset requires an explicit lattice")
+            require_int("m_terms", self.m_terms, 1)
         pol = self.eigen_index_policy
         if not (pol in ("random", "all") or (isinstance(pol, int) and not isinstance(pol, bool))):
             raise ValueError(f"bad eigen_index_policy {pol!r}")
@@ -106,12 +106,8 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         obj = dict(obj)
-        if "lattice" in obj and obj["lattice"] is not None:
-            lat = obj["lattice"]
-            obj["lattice"] = LatticeSpec(
-                num_qubits=int(lat["num_qubits"]),
-                edges=tuple(tuple(e) for e in lat["edges"]),
-            )
+        if obj.get("lattice") is not None:
+            obj["lattice"] = _lattice_from_dict(obj["lattice"])
         if obj.get("solve") is None:  # null means the default settings, like an absent key
             obj.pop("solve", None)
         else:
@@ -126,6 +122,20 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _lattice_from_dict(lat) -> LatticeSpec:
+    """The LatticeSpec of a config's {"num_qubits": n, "edges": [[i, j], ...]}."""
+    if not isinstance(lat, dict) or set(lat) != {"num_qubits", "edges"}:
+        raise ValueError(f"lattice must be an object with keys num_qubits and edges, got {lat!r}")
+    require_int("lattice num_qubits", lat["num_qubits"])
+    edges = lat["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValueError(f"lattice edges must be a list of [i, j] qubit pairs, got {edges!r}")
+    for i, j in edges:
+        require_int("lattice edge qubit", i)
+        require_int("lattice edge qubit", j)
+    return LatticeSpec(lat["num_qubits"], tuple(tuple(e) for e in edges))
 
 
 def _instance_seed(master: int, row_id: int, stream: int) -> int:
@@ -372,7 +382,8 @@ def summarize(rows) -> dict:
         raise ValueError("no rows to summarize")
     dicts = [r.to_json() if isinstance(r, ResultRow) else dict(r) for r in rows]
     fid = np.array([r["abs_fidelity"] for r in dicts])
-    counts, edges = np.histogram(fid, bins=HIST_BINS, range=HIST_RANGE)
+    # a fidelity exceeds 1 by round-off only; binned at 1, it is not left out
+    counts, edges = np.histogram(np.minimum(fid, HIST_RANGE[1]), bins=HIST_BINS, range=HIST_RANGE)
     return {
         "count": len(dicts),
         "mean_abs_fidelity": float(np.mean(fid)),

@@ -127,66 +127,62 @@ def _drive(steps, answer):
         return stop.value
 
 
-def _wolfe_steps(f0, g0, c1, c2, max_evals, a_max=1e10):
-    """_wolfe_search as a generator: yields each trial step a, is sent back
-    (phi(a), dphi(a)), and returns or raises as _wolfe_search does."""
+def _wolfe_steps(x, p, f0, slope):
+    """Strong Wolfe line search along x + a p (bracket, then zoom with cubic
+    interpolation) as a generator: yields each trial point x + a p, is sent
+    back (f, grad f) there, and returns (a, f, point, gradient) of the step it
+    accepts, always its last trial. Needs slope = grad f(x) . p < 0. Steps are
+    capped at max(1, 1e3 (1 + ||x||) / ||p||): one search never jumps more than
+    three decades past x, and runaway directions meet the norm cap.
+
+    Raises _LineSearchFailure when LINE_SEARCH_MAX_EVALS trials find no
+    acceptable step, or when zoom's bracket can no longer tell two steps
+    apart: either its width is below 1e-16 * max(1, |a_lo|), or the largest
+    change of f it can hold, width * |slope|, is within one unit of round-off
+    of f0 (Moré & Thuente's "rounding errors prevent progress").
+    """
     eps = math.ulp(1.0)  # machine epsilon
-    evals = [0]
+    a_max = max(1.0, 1e3 * (1.0 + _norm(x)) / _norm(p))
 
-    def spend():  # one more evaluation, within the budget
-        evals[0] += 1
-        if evals[0] > max_evals:
-            raise _LineSearchFailure
-
-    def zoom(a_lo, f_lo, g_lo, a_hi, f_hi, g_hi):
-        while True:
+    def zoom(spent, a_lo, f_lo, g_lo, a_hi, f_hi, g_hi):
+        for _ in range(spent, LINE_SEARCH_MAX_EVALS):
             a = _cubic_minimum(a_lo, f_lo, g_lo, a_hi, f_hi, g_hi)
             lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
             width = hi - lo
             if a is None or not (lo + 0.05 * width < a < hi - 0.05 * width):
                 a = 0.5 * (a_lo + a_hi)
-            if width < 1e-16 * max(1.0, abs(a_lo)) or width * -g0 <= eps * f0:
+            if width < 1e-16 * max(1.0, abs(a_lo)) or width * -slope <= eps * f0:
                 raise _LineSearchFailure
-            spend()
-            fa, ga = yield a
-            if fa > f0 + c1 * a * g0 or fa >= f_lo:
+            xa = x + a * p
+            fa, grad = yield xa
+            ga = float(grad @ p)
+            if fa > f0 + WOLFE_C1 * a * slope or fa >= f_lo:
                 a_hi, f_hi, g_hi = a, fa, ga
             else:
-                if abs(ga) <= -c2 * g0:
-                    return a, fa
+                if abs(ga) <= -WOLFE_C2 * slope:
+                    return a, fa, xa, grad
                 if ga * (a_hi - a_lo) >= 0:
                     a_hi, f_hi, g_hi = a_lo, f_lo, g_lo
                 a_lo, f_lo, g_lo = a, fa, ga
+        raise _LineSearchFailure
 
-    a_prev, f_prev, g_prev = 0.0, f0, g0
+    a_prev, f_prev, g_prev = 0.0, f0, slope
     a = min(1.0, a_max)
-    while True:
-        spend()
-        fa, ga = yield a
-        if fa > f0 + c1 * a * g0 or (a_prev > 0 and fa >= f_prev):
-            return (yield from zoom(a_prev, f_prev, g_prev, a, fa, ga))
-        if abs(ga) <= -c2 * g0:
-            return a, fa
+    for spent in range(1, LINE_SEARCH_MAX_EVALS + 1):
+        xa = x + a * p
+        fa, grad = yield xa
+        ga = float(grad @ p)
+        if fa > f0 + WOLFE_C1 * a * slope or (a_prev > 0 and fa >= f_prev):
+            return (yield from zoom(spent, a_prev, f_prev, g_prev, a, fa, ga))
+        if abs(ga) <= -WOLFE_C2 * slope:
+            return a, fa, xa, grad
         if ga >= 0:
-            return (yield from zoom(a, fa, ga, a_prev, f_prev, g_prev))
+            return (yield from zoom(spent, a, fa, ga, a_prev, f_prev, g_prev))
         if a >= a_max:  # capped extension: accept the Armijo-satisfying step
-            return a, fa
+            return a, fa, xa, grad
         a_prev, f_prev, g_prev = a, fa, ga
         a = min(2 * a, a_max)
-
-
-def _wolfe_search(phi, dphi, f0, g0, c1, c2, max_evals, a_max=1e10):
-    """Strong Wolfe line search (bracket then zoom with cubic interpolation).
-
-    phi(a)/dphi(a) evaluate the restricted objective and its slope; g0 < 0 is
-    required. Returns (alpha, f_alpha). Raises _LineSearchFailure when the
-    evaluation budget runs out without an acceptable step, or when zoom's
-    bracket can no longer tell two steps apart: either its width is below
-    1e-16 * max(1, |a_lo|), or the largest change of f it can hold,
-    width * |g0|, is within one unit of round-off of f0 (Moré & Thuente's
-    "rounding errors prevent progress").
-    """
-    return _drive(_wolfe_steps(f0, g0, c1, c2, max_evals, a_max), lambda a: (phi(a), dphi(a)))
+    raise _LineSearchFailure
 
 
 def _bfgs_steps(
@@ -223,32 +219,18 @@ def _bfgs_steps(
             h = np.eye(n)
             p = -gx
             slope = -float(gx @ gx)
-
-        # keep a single line search from jumping more than three decades past
-        # the current iterate; runaway directions are cut off by the norm cap
-        a_max = max(1.0, 1e3 * (1.0 + _norm(x)) / _norm(p))
-        search = _wolfe_steps(fx, slope, WOLFE_C1, WOLFE_C2, LINE_SEARCH_MAX_EVALS, a_max)
-        x_alpha, g_alpha = {}, {}
         try:
-            a = next(search)
-            while True:  # the search's trial steps a, as points x + a p
-                xa = x_alpha[a] = x + a * p
-                fa, g_alpha[a] = yield xa
-                a = search.send((fa, float(g_alpha[a] @ p)))
-        except StopIteration as found:
-            alpha, f_new = found.value
+            alpha, f_new, x_new, g_new = yield from _wolfe_steps(x, p, fx, slope)
         except _LineSearchFailure:
             stop = "line_search"
             break
         iterations += 1
         s = alpha * p
-        x_new = x_alpha[alpha]  # x + s: the search only returns steps it evaluated
         if _norm(x_new) > ITERATE_NORM_CAP:
             # far beyond any meaningful inverse-temperature scale; the matrix
             # exponentials are pure round-off out here, so abandon the restart
             stop = "norm_cap"
             break
-        g_new = g_alpha[alpha]
         y = g_new - gx
         sy = float(s @ y)
         if sy > 1e-12:
@@ -321,13 +303,16 @@ HOP_MIN_NORM = 8.0
 
 
 def _hop_proposal(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Outward-rescaled, direction-perturbed start point near a stalled iterate."""
+    """Outward-rescaled, direction-perturbed start point near a stalled
+    iterate (at x = 0, of norm HOP_MIN_NORM); the same draws whatever x is."""
+    scale = float(rng.choice(HOP_SCALE_CHOICES))
+    sigma = float(rng.choice(HOP_SIGMA_CHOICES))
+    noise = rng.standard_normal(x.size)
     xn = float(np.linalg.norm(x))
     if xn == 0.0:
-        return rng.standard_normal(x.size)
-    s = max(float(rng.choice(HOP_SCALE_CHOICES)) * xn, HOP_MIN_NORM)
-    prop = x / xn + float(rng.choice(HOP_SIGMA_CHOICES)) * rng.standard_normal(x.size)
-    return s * prop / float(np.linalg.norm(prop))
+        return HOP_MIN_NORM * noise / float(np.linalg.norm(noise))
+    prop = x / xn + sigma * noise
+    return max(scale * xn, HOP_MIN_NORM) * prop / float(np.linalg.norm(prop))
 
 
 def _restart_steps(obj: ReconstructionObjective, cfg: SolveConfig):

@@ -188,13 +188,34 @@ class TestErrors:
             ("solve", {"max_restarts": 1.5}, "max_restarts must be an integer"),
             ("solve", {"hops_per_restart": 12}, "unknown solve-config keys"),
             ("solve", {"eps": "1e-8"}, "eps must be a finite positive number"),
+            # settings no row reads: local_full runs m = 1 whatever m_terms says, generic draws no lattice
+            ("preset", "local_full", "m_terms is needed by preset generic and refused"),
+            ("lattice", {"num_qubits": 2, "edges": [[1, 2]]}, "lattice is needed by preset custom and refused"),
         ],
         ids=["num_instances_float", "n_qubits_float", "policy_bool", "max_restarts_float", "removed_solve_key",
-             "eps_string"],
+             "eps_string", "m_terms_local_full", "lattice_generic"],
     )
     def test_exp_rejects_bad_values(self, tmp_path, exp_config, capsys, key, value, message):
         cfg = json.loads(exp_config.read_text())
         cfg[key] = value
+        exp_config.write_text(json.dumps(cfg))
+        code = main(["exp", "--config", str(exp_config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lattice, message",
+        [
+            ({"num_qubits": 3.7, "edges": [[1, 2]]}, "lattice num_qubits must be an integer"),
+            ({"num_qubits": 3, "edges": ["12"]}, "lattice edges must be a list of [i, j] qubit pairs"),
+            ({"num_qubits": 3, "edges": [["1", "2"]]}, "lattice edge qubit must be an integer"),
+            ({"num_qubits": 3, "edge": [[1, 2]]}, "lattice must be an object with keys num_qubits and edges"),
+            (5, "lattice must be an object with keys num_qubits and edges"),
+        ],
+        ids=["num_qubits_float", "edges_strings", "qubit_strings", "key_misspelt", "number"],
+    )
+    def test_exp_rejects_malformed_lattice(self, tmp_path, exp_config, capsys, lattice, message):
+        cfg = {**json.loads(exp_config.read_text()), "preset": "custom", "m_terms": None, "lattice": lattice}
         exp_config.write_text(json.dumps(cfg))
         code = main(["exp", "--config", str(exp_config), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR

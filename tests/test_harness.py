@@ -292,6 +292,15 @@ class TestSummarizeAndIo:
         assert s["convergence_rate"] == 1.0
         assert len(s["histogram"]["counts"]) == 20
 
+    def test_summarize_bins_fidelity_past_one(self):
+        # a fidelity past 1 by round-off is binned at 1; the statistics keep the raw values
+        fids = [1.0000000000000002, 1.0, 0.995, 0.5]
+        s = summarize([{"abs_fidelity": f, "converged": True} for f in fids])
+        hist = s["histogram"]
+        assert sum(hist["counts"]) + hist["below_range"] == len(fids)
+        assert (hist["counts"][-1], hist["below_range"]) == (2, 1)
+        assert s["mean_abs_fidelity"] == float(np.mean(fids))
+
     def test_summarize_empty(self):
         with pytest.raises(ValueError):
             summarize([])

@@ -9,7 +9,8 @@ from hamlearn.operators import PAULI_Z, OperatorBasis, basis_generic, eigenstate
 from hamlearn.optimizer import (
     SolveConfig,
     _LineSearchFailure,
-    _wolfe_search,
+    _drive,
+    _wolfe_steps,
     bfgs_minimize,
     check_measurement_range,
     solve_hamiltonian,
@@ -53,25 +54,30 @@ class TestSolveConfig:
                 SolveConfig.from_dict(obj)
 
 
-class _Counted:
-    """phi(a) that counts its calls; the line search pairs each with one dphi."""
+class _Line:
+    """Answers a line search along the 1-D line x = a, p = 1 with
+    (phi(a), [dphi(a)]), counting the calls."""
 
-    def __init__(self, phi):
-        self.phi, self.calls = phi, 0
+    def __init__(self, phi, dphi):
+        self.phi, self.dphi, self.calls = phi, dphi, 0
 
-    def __call__(self, a):
+    def __call__(self, point):
         self.calls += 1
-        return self.phi(a)
+        (a,) = point
+        return self.phi(a), np.array([self.dphi(a)])
+
+    def search(self, f0, slope):
+        return _drive(_wolfe_steps(np.zeros(1), np.ones(1), f0, slope), self)
 
 
 class TestWolfeSearch:
     def test_round_off_flat_line_fails_fast(self):
         # a line that is stationary to round-off: f rises by 1e-13 at every
         # a > 0, which no step can undercut, and the slope is 1e-16 * f0
-        phi = _Counted(lambda a: 0.25 if a == 0 else 0.25 + 1e-13)
+        line = _Line(lambda a: 0.25 if a == 0 else 0.25 + 1e-13, lambda a: -1e-16)
         with pytest.raises(_LineSearchFailure):
-            _wolfe_search(phi, lambda a: -1e-16, 0.25, -1e-16, 1e-4, 0.9, 60)
-        assert phi.calls <= 5
+            line.search(0.25, -1e-16)
+        assert line.calls <= 5
 
     @pytest.mark.parametrize(
         "c, s, alpha, evals",
@@ -79,10 +85,11 @@ class TestWolfeSearch:
     )
     def test_quadratic_steps_unchanged(self, c, s, alpha, evals):
         # phi(a) = s (a - c)^2 / 2 + 1: zooms down to c, or extends past a = 1
-        phi = _Counted(lambda a: 0.5 * s * (a - c) ** 2 + 1.0)
-        a, fa = _wolfe_search(phi, lambda a: s * (a - c), 0.5 * s * c * c + 1.0, -s * c, 1e-4, 0.9, 60)
-        assert (a, phi.calls) == (alpha, evals)
-        assert fa == phi.phi(a)
+        line = _Line(lambda a: 0.5 * s * (a - c) ** 2 + 1.0, lambda a: s * (a - c))
+        a, fa, point, grad = line.search(0.5 * s * c * c + 1.0, -s * c)
+        assert (a, line.calls) == (alpha, evals)
+        assert fa == line.phi(a)
+        assert point.tolist() == [a] and grad.tolist() == [line.dphi(a)]
 
 
 class TestBfgs:
@@ -282,6 +289,14 @@ class TestSolveHamiltonian:
         result = solve_hamiltonian(basis, [1.0], cfg)
         assert not result.converged
         assert result.restarts == 1
+
+    def test_hop_proposal_draws_alike_at_zero(self):
+        # a chain's variates must not depend on its iterates, x = 0 included
+        at_zero, elsewhere = np.random.default_rng(5), np.random.default_rng(5)
+        x0 = optimizer._hop_proposal(np.zeros(4), at_zero)
+        optimizer._hop_proposal(np.ones(4), elsewhere)
+        assert at_zero.bit_generator.state == elsewhere.bit_generator.state
+        assert np.linalg.norm(x0) == pytest.approx(optimizer.HOP_MIN_NORM, rel=1e-15)
 
     def test_returned_hop_keeps_chain_point(self, bfgs_runs):
         # only hops have a home, and a hop that returned leaves the chain's
