@@ -34,7 +34,7 @@ from .operators import (
 )
 from .optimizer import SolveConfig, require_int, solve_hamiltonian, solve_steps
 
-PRESETS = ("generic", "local_full", "local_chain", "level_sweep", "custom")
+PRESETS = ("generic", "local_full", "local_chain", "custom")
 MAX_REDRAWS = 10
 
 HIST_BINS = 20
@@ -95,12 +95,15 @@ class ExperimentConfig:
             raise ValueError(f"m_terms is needed by preset generic and refused by the others, got {self.preset!r}")
         if (self.lattice is None) == (self.preset == "custom"):
             raise ValueError(f"lattice is needed by preset custom and refused by the others, got {self.preset!r}")
+        # n_qubits sizes every preset's rows, so a lattice must agree with it
+        if self.lattice is not None and self.lattice.num_qubits != self.n_qubits:
+            raise ValueError(f"n_qubits {self.n_qubits} differs from the lattice num_qubits {self.lattice.num_qubits}")
         if self.m_terms is not None:
             require_int("m_terms", self.m_terms, 1)
         pol = self.eigen_index_policy
         if not (pol in ("random", "all") or (isinstance(pol, int) and not isinstance(pol, bool))):
             raise ValueError(f"bad eigen_index_policy {pol!r}")
-        if isinstance(pol, int) and not (0 <= pol < _row_dim(self)):
+        if isinstance(pol, int) and not (0 <= pol < 2**self.n_qubits):
             raise ValueError(f"fixed eigen index {pol} out of range")
 
     @classmethod
@@ -146,29 +149,16 @@ def _gen_rng(master: int, row_id: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master, spawn_key=(row_id, 0)))
 
 
-def _lattice_for(cfg: ExperimentConfig) -> Optional[LatticeSpec]:
-    if cfg.preset in ("local_full", "level_sweep"):
-        return LatticeSpec.fully_connected(cfg.n_qubits)
-    if cfg.preset == "local_chain":
-        return LatticeSpec.chain(cfg.n_qubits)
-    if cfg.preset == "custom":
-        return cfg.lattice
-    return None
-
-
-def _row_dim(cfg: ExperimentConfig) -> int:
-    """Levels d of the suite's rows: a custom lattice's, whatever n_qubits says."""
-    lattice = _lattice_for(cfg)
-    return 2 ** (cfg.n_qubits if lattice is None else lattice.num_qubits)
-
-
 def _draw_instance(cfg: ExperimentConfig, rng: np.random.Generator):
     """One (basis, c_true) draw; coefficients uniform on (0, 1)."""
-    lattice = _lattice_for(cfg)
     if cfg.preset == "generic":
         basis = basis_generic(2**cfg.n_qubits, cfg.m_terms, rng)
+    elif cfg.preset == "local_full":
+        basis = basis_two_local(LatticeSpec.fully_connected(cfg.n_qubits), rng)
+    elif cfg.preset == "local_chain":
+        basis = basis_two_local(LatticeSpec.chain(cfg.n_qubits), rng)
     else:
-        basis = basis_two_local(lattice, rng)
+        basis = basis_two_local(cfg.lattice, rng)
     c_true = rng.uniform(0.0, 1.0, basis.size)
     return basis, c_true
 
@@ -179,22 +169,14 @@ def _all_levels_separated(basis: OperatorBasis, c_true: np.ndarray) -> bool:
 
 
 def _row_tasks(cfg: ExperimentConfig) -> list:
-    """(row_id, instance_index, eigen_index-or-None) for the whole suite."""
-    d = _row_dim(cfg)
+    """(row_id, instance_index, eigen_index-or-None) for the whole suite.
+
+    A level sweep, eigen_index_policy "all", solves every level of each instance.
+    """
     pol = cfg.eigen_index_policy
-    sweep = cfg.preset == "level_sweep" or pol == "all"
-    n_instances = 1 if cfg.preset == "level_sweep" else cfg.num_instances
-    tasks = []
-    row_id = 0
-    for i in range(n_instances):
-        if sweep:
-            for k in range(d):
-                tasks.append((row_id, i, k))
-                row_id += 1
-        else:
-            tasks.append((row_id, i, pol if isinstance(pol, int) else None))
-            row_id += 1
-    return tasks
+    levels = range(2**cfg.n_qubits) if pol == "all" else (pol if isinstance(pol, int) else None,)
+    pairs = [(i, k) for i in range(cfg.num_instances) for k in levels]
+    return [(row_id, i, k) for row_id, (i, k) in enumerate(pairs)]
 
 
 def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index):
@@ -205,7 +187,7 @@ def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen
     redraws until every level is separated.
     """
     rng = _gen_rng(cfg.seed, instance_index)
-    sweep = eigen_index is not None and (cfg.preset == "level_sweep" or cfg.eigen_index_policy == "all")
+    sweep = cfg.eigen_index_policy == "all"
     basis_ref = f"basis_{row_id:04d}"
     for _ in range(MAX_REDRAWS):
         basis, c_true = _draw_instance(cfg, rng)
@@ -365,7 +347,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     tasks = _row_tasks(cfg)
     if threads == 1:
         return [_run_row(cfg, *t) for t in tasks]
-    if _row_dim(cfg) > STACK_DIM_MAX:
+    if 2**cfg.n_qubits > STACK_DIM_MAX:
         with ThreadPoolExecutor(max_workers=threads) as executor:
             return list(executor.map(lambda t: _run_row(cfg, *t), tasks))
     done = _lockstep_worker(cfg, tasks)

@@ -33,6 +33,10 @@ def timed(fn):
 # few dozen restart/hop chains on average, so 150 covers unlucky seeds.
 ACCEPT_SOLVE = {"max_restarts": 150}
 
+# The d = 16 suites run with threads=2, in lockstep, which gives the serial
+# run's rows for less CPU; criterion 9 reruns the generic suite serially and
+# compares the bytes.
+
 
 @pytest.fixture(scope="module")
 def suite_generic_n4():
@@ -44,7 +48,7 @@ def suite_generic_n4():
         m_terms=3,
         solve=SolveConfig(**ACCEPT_SOLVE),
     )
-    return timed(lambda: run_experiment(cfg))
+    return timed(lambda: run_experiment(cfg, threads=2))
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +60,7 @@ def suite_local_full_n4():
         seed=202,
         solve=SolveConfig(**ACCEPT_SOLVE),
     )
-    return timed(lambda: run_experiment(cfg))
+    return timed(lambda: run_experiment(cfg, threads=2))
 
 
 @pytest.fixture(scope="module")
@@ -77,15 +81,16 @@ def suite_chain_n7():
 
 @pytest.fixture(scope="module")
 def suite_level_sweep_n4():
+    # one 2-local Hamiltonian, solved at every one of its 16 levels
     cfg = ExperimentConfig(
-        preset="level_sweep",
+        preset="local_full",
         n_qubits=4,
         num_instances=1,
         seed=505,
         eigen_index_policy="all",
         solve=SolveConfig(**ACCEPT_SOLVE),
     )
-    return timed(lambda: run_experiment(cfg))
+    return timed(lambda: run_experiment(cfg, threads=2))
 
 
 def test_criterion_1_gradient_correctness():
@@ -243,7 +248,7 @@ def test_criterion_9_determinism(tmp_path, suite_generic_n4):
         m_terms=3,
         solve=SolveConfig(**ACCEPT_SOLVE),
     )
-    rows_again = run_experiment(cfg)
+    rows_again = run_experiment(cfg)  # serial, against the fixture's lockstep rows
 
     def canonical(rows, path):
         write_rows(rows, path)
@@ -257,4 +262,4 @@ def test_criterion_9_determinism(tmp_path, suite_generic_n4):
     first = canonical(suite_generic_n4[0], tmp_path / "a.jsonl")
     second = canonical(rows_again, tmp_path / "b.jsonl")
     ok = first == second
-    announce(9, ok, "rerun of the generic suite is byte-identical modulo wall_ms")
+    announce(9, ok, "serial rerun of the lockstep generic suite is byte-identical modulo wall_ms")

@@ -191,9 +191,11 @@ class TestErrors:
             # settings no row reads: local_full runs m = 1 whatever m_terms says, generic draws no lattice
             ("preset", "local_full", "m_terms is needed by preset generic and refused"),
             ("lattice", {"num_qubits": 2, "edges": [[1, 2]]}, "lattice is needed by preset custom and refused"),
+            # a level sweep is "eigen_index_policy": "all" on any preset
+            ("preset", "level_sweep", "unknown preset 'level_sweep'"),
         ],
         ids=["num_instances_float", "n_qubits_float", "policy_bool", "max_restarts_float", "removed_solve_key",
-             "eps_string", "m_terms_local_full", "lattice_generic"],
+             "eps_string", "m_terms_local_full", "lattice_generic", "level_sweep"],
     )
     def test_exp_rejects_bad_values(self, tmp_path, exp_config, capsys, key, value, message):
         cfg = json.loads(exp_config.read_text())
@@ -211,8 +213,10 @@ class TestErrors:
             ({"num_qubits": 3, "edges": [["1", "2"]]}, "lattice edge qubit must be an integer"),
             ({"num_qubits": 3, "edge": [[1, 2]]}, "lattice must be an object with keys num_qubits and edges"),
             (5, "lattice must be an object with keys num_qubits and edges"),
+            # the config's n_qubits is 2: it sizes the rows, so the lattice must agree
+            ({"num_qubits": 3, "edges": [[1, 2]]}, "n_qubits 2 differs from the lattice num_qubits 3"),
         ],
-        ids=["num_qubits_float", "edges_strings", "qubit_strings", "key_misspelt", "number"],
+        ids=["num_qubits_float", "edges_strings", "qubit_strings", "key_misspelt", "number", "num_qubits_differs"],
     )
     def test_exp_rejects_malformed_lattice(self, tmp_path, exp_config, capsys, lattice, message):
         cfg = {**json.loads(exp_config.read_text()), "preset": "custom", "m_terms": None, "lattice": lattice}

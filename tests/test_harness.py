@@ -51,12 +51,22 @@ class TestConfig:
             ExperimentConfig(preset="custom", n_qubits=3, num_instances=1)
 
     def test_custom_levels_follow_lattice(self):
-        # a custom lattice's rows have 2**lattice.num_qubits levels, whatever n_qubits says
-        custom = dict(preset="custom", n_qubits=1, m_terms=None, lattice=LatticeSpec.chain(2))
+        # a custom lattice's rows have 2**n_qubits levels, as its num_qubits agrees
+        custom = dict(preset="custom", n_qubits=2, m_terms=None, lattice=LatticeSpec.chain(2))
         assert len(_row_tasks(small_config(num_instances=1, eigen_index_policy="all", **custom))) == 4
         assert small_config(eigen_index_policy=3, **custom).eigen_index_policy == 3
         with pytest.raises(ValueError, match="out of range"):
             small_config(eigen_index_policy=4, **custom)
+
+    @pytest.mark.parametrize("n_qubits", [1, 3, 6])
+    def test_custom_n_qubits_must_match_lattice(self, n_qubits):
+        with pytest.raises(ValueError, match="differs from the lattice num_qubits 2"):
+            small_config(preset="custom", n_qubits=n_qubits, m_terms=None, lattice=LatticeSpec.chain(2))
+
+    def test_level_sweep_preset_is_gone(self):
+        # a level sweep is eigen_index_policy "all" on any preset
+        with pytest.raises(ValueError, match="unknown preset 'level_sweep'"):
+            ExperimentConfig.from_dict({"preset": "level_sweep", "n_qubits": 2, "num_instances": 1})
 
     def test_bad_policy(self):
         with pytest.raises(ValueError):
@@ -131,11 +141,16 @@ class TestRowTasks:
 
     def test_level_sweep_single_instance(self):
         cfg = ExperimentConfig(
-            preset="level_sweep", n_qubits=2, num_instances=5, seed=1, eigen_index_policy="all"
+            preset="local_full", n_qubits=2, num_instances=1, seed=1, eigen_index_policy="all"
         )
         tasks = _row_tasks(cfg)
         assert len(tasks) == 4  # one instance, every level
         assert [t[2] for t in tasks] == [0, 1, 2, 3]
+
+    def test_level_sweep_every_instance(self):
+        # each instance is swept in turn, row ids counting on across them
+        tasks = _row_tasks(small_config(num_instances=2, eigen_index_policy="all"))
+        assert tasks == [(r, r // 4, r % 4) for r in range(8)]
 
 
 class TestRunExperiment:
@@ -165,11 +180,11 @@ class TestRunExperiment:
             run_experiment(small_config(), threads=threads)
 
     def test_threads_match_serial(self):
-        # every field but wall_ms, on a generic, a local_full and a level_sweep suite
+        # every field but wall_ms, on a generic, a local_full and a level-sweep suite
         for overrides in (
             {},
             {"preset": "local_full", "n_qubits": 3, "num_instances": 4, "m_terms": None},
-            {"preset": "level_sweep", "n_qubits": 2, "num_instances": 1, "m_terms": None, "eigen_index_policy": "all"},
+            {"preset": "local_full", "n_qubits": 2, "num_instances": 1, "m_terms": None, "eigen_index_policy": "all"},
         ):
             cfg = small_config(**overrides)
             serial = [without_wall(r) for r in run_experiment(cfg, threads=1)]
@@ -251,16 +266,16 @@ class TestRunExperiment:
             run_experiment(small_config(num_instances=4), threads=threads)
 
     def test_rows_in_flight_follow_row_dimension(self, monkeypatch):
-        # a custom lattice sets the rows' dimension, whatever n_qubits says:
-        # wide rows run _run_row in a pool, narrow ones start no thread
+        # n_qubits sets the rows' dimension, a custom lattice's too: wide
+        # rows run _run_row in a pool, narrow ones start no thread
         pools = []
         pool = harness.ThreadPoolExecutor
         monkeypatch.setattr(harness, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
         monkeypatch.setattr(harness, "_run_row", lambda cfg, row_id, *args: row_id)
-        wide = small_config(preset="custom", n_qubits=1, m_terms=None, lattice=LatticeSpec.chain(5))
+        wide = small_config(preset="custom", n_qubits=5, m_terms=None, lattice=LatticeSpec.chain(5))
         assert run_experiment(wide, threads=2) == [0, 1, 2]
         assert pools == [{"max_workers": 2}]
-        narrow = small_config(preset="custom", n_qubits=6, m_terms=None, lattice=LatticeSpec.chain(2))
+        narrow = small_config(preset="custom", n_qubits=2, m_terms=None, lattice=LatticeSpec.chain(2))
         assert len(run_experiment(narrow, threads=2)) == 3
         assert len(pools) == 1
 

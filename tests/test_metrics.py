@@ -11,7 +11,6 @@ from hamlearn.metrics import (
     report,
 )
 from hamlearn.operators import (
-    PAULI_X,
     PAULI_Z,
     OperatorBasis,
     assemble,
@@ -20,6 +19,8 @@ from hamlearn.operators import (
 )
 from hamlearn.objective import ReconstructionObjective
 from hamlearn.optimizer import SolveConfig, solve_hamiltonian
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class TestFidelity:

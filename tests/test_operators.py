@@ -17,6 +17,8 @@ from hamlearn.operators import (
     random_hermitian,
 )
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
 
 def embed_bruteforce(a4, i, j, n):
     """Independent oracle: build the embedded operator element by element.
@@ -130,7 +132,7 @@ class TestBases:
 
     def test_assemble(self):
         basis = OperatorBasis(
-            dim=2, terms=[operators.PAULI_X, operators.PAULI_Z], labels=["x", "z"]
+            dim=2, terms=[PAULI_X, operators.PAULI_Z], labels=["x", "z"]
         )
         h = assemble(basis, [2.0, -1.0])
         assert np.allclose(h, np.array([[-1.0, 2.0], [2.0, 1.0]]))
