@@ -3,7 +3,7 @@ values, via a thermal-state objective with exact matrix-valued gradients."""
 
 from .linalg import frechet_exp
 from .metrics import ReconstructionReport, hamiltonian_fidelity, recover_eigenstate, recover_eigenvalue, report
-from .objective import Diagnostics, GraphEval, ReconstructionObjective
+from .objective import Diagnostics, ReconstructionObjective
 from .operators import (
     LatticeSpec,
     MeasurementRecord,
@@ -26,7 +26,6 @@ __all__ = [
     "recover_eigenvalue",
     "report",
     "Diagnostics",
-    "GraphEval",
     "ReconstructionObjective",
     "LatticeSpec",
     "MeasurementRecord",

@@ -59,7 +59,8 @@ def recover_eigenstate(basis: OperatorBasis, x, a) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0:
         raise ValueError("coefficient vector is zero")
-    w, u = np.linalg.eigh(ReconstructionObjective(basis, a).graph(x).v3)
+    fwd = ReconstructionObjective(basis, a)._forward(x)
+    w, u = fwd["lam"], fwd["u"]
     if basis.dim > 1 and w[1] - w[0] < GAP_TOL:
         warnings.warn(
             f"ground space of Hs^2 nearly degenerate (gap {w[1] - w[0]:.3e}); "

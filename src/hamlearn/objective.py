@@ -24,22 +24,6 @@ from .operators import OperatorBasis
 
 
 @dataclass
-class GraphEval:
-    """All intermediate node values of one objective evaluation."""
-
-    x: np.ndarray
-    v2: np.ndarray  # Hs
-    v3: np.ndarray  # Hs^2
-    v4: np.ndarray  # exp(-Hs^2)
-    v5: float  # tr v4
-    v6: np.ndarray  # rho
-    v7: np.ndarray  # residuals tr(A_j rho) - a_j
-    v8: float  # sum of squared residuals
-    v9: float  # tr(Hs^2 rho)
-    v10: float  # f = v8 + v9
-
-
-@dataclass
 class Diagnostics:
     """Spectrum of Hs^2 and the Boltzmann weight of its ground level."""
 
@@ -70,7 +54,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _forward(ops: tuple, x: np.ndarray) -> dict:
-    """Forward pass at x, (m,) or (K, m); ops = (b_flat, a_flat, a, b_norms)."""
+    """Forward pass at x, (m,) or (K, m); ops = (b_flat, a_flat, a, b_norms).
+
+    Returns the nodes of f that the gradient and the diagnostics read: v2 =
+    Hs, the eigenpairs lam, u (uh = u^dag) of v3 = Hs^2, the shift mu =
+    lam[0], wexp = exp(-(lam - mu)) and its sum v5s (so exp(-v3) = e^{-mu}
+    U diag(wexp) U^dag and tr exp(-v3) = e^{-mu} v5s), v6 = rho, the
+    residuals v7, v8 = sum of their squares, v9 = tr(v3 rho) and f = v8 + v9.
+    """
     b_flat, a_flat, a, _ = ops
     rows = x.shape[:-1]
     dd = b_flat.shape[-1]
@@ -82,8 +73,7 @@ def _forward(ops: tuple, x: np.ndarray) -> dict:
     mu = lam[..., :1]
     wexp = np.exp(-(lam - mu))  # spectral shift: e^{-v3} = e^{-mu} U diag(wexp) U^dag
     v5s = wexp.sum(axis=-1, keepdims=True)
-    v4s = (u * wexp[..., None, :]) @ uh
-    v6 = v4s / v5s[..., None]
+    v6 = ((u * wexp[..., None, :]) @ uh) / v5s[..., None]
     v6 = (v6 + v6.conj().swapaxes(-1, -2)) / 2
     # tr(A_j v6) for every j: one product with v6^T raveled
     v7 = linalg._real_rows((a_flat @ v6.swapaxes(-1, -2).reshape(rows + (dd, 1)))[..., 0]) - a
@@ -93,14 +83,12 @@ def _forward(ops: tuple, x: np.ndarray) -> dict:
     v9 = (np.maximum(lam, 0.0) * wexp).sum(axis=-1) / v5s[..., 0]
     return {
         "v2": v2,
-        "v3": v3,
         "lam": lam,
         "u": u,
         "uh": uh,
         "mu": mu,
         "wexp": wexp,
         "v5s": v5s,
-        "v4s": v4s,
         "v6": v6,
         "v7": v7,
         "v8": v8,
@@ -172,7 +160,8 @@ class ReconstructionObjective:
 
     Each method runs the kernel at one x (no row axis). The forward pass (one
     Hermitian eigendecomposition of Hs^2) is cached on the argument, so
-    value/gradient/diagnostics at the same x share it. The exponential is
+    value/gradient/diagnostics at the same x share it (and
+    metrics.recover_eigenstate reads its eigenpairs). The exponential is
     evaluated with the minimum eigenvalue subtracted; the shift cancels in
     rho and in all reported ratios but prevents underflow once the spectrum
     grows large near convergence.
@@ -212,7 +201,6 @@ class ReconstructionObjective:
         if not np.isfinite(x).all():
             raise ValueError("x contains non-finite entries")
         fwd = _forward(self._ops, x)
-        fwd["x"] = x.copy()
         self._cache_key = key
         self._cache = fwd
         return fwd
@@ -223,29 +211,6 @@ class ReconstructionObjective:
     def gradient(self, x) -> np.ndarray:
         """Exact gradient by one adjoint (reverse-mode) pass; see _gradient."""
         return _gradient(self._ops, self._forward(x))
-
-    def graph(self, x) -> GraphEval:
-        """Full node-by-node evaluation, with v4/v5 reported unshifted.
-
-        v4 and v5 are built from the spectrum of Hs^2 clipped at 0, as
-        diagnostics and v9 clip it: eigh round-off can put the lowest
-        eigenvalue far below 0 at large ||x||, where exp of its negative
-        would overflow. They may underflow to 0; rho is unaffected.
-        """
-        fwd = self._forward(x)
-        u, w = fwd["u"], np.exp(-np.maximum(fwd["lam"], 0.0))
-        return GraphEval(
-            x=fwd["x"].copy(),
-            v2=fwd["v2"].copy(),
-            v3=fwd["v3"].copy(),
-            v4=(u * w) @ fwd["uh"],
-            v5=float(w.sum()),
-            v6=fwd["v6"].copy(),
-            v7=fwd["v7"].copy(),
-            v8=float(fwd["v8"]),
-            v9=float(fwd["v9"]),
-            v10=float(fwd["f"]),
-        )
 
     def diagnostics(self, x) -> Diagnostics:
         """Spectrum of Hs^2 and the ground-level Boltzmann weight.

@@ -36,6 +36,10 @@ class LatticeSpec:
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
+        # a qubit no term acts on doubles every level of every Hamiltonian
+        bare = sorted(set(range(1, self.num_qubits + 1)).difference(*seen))
+        if bare:
+            raise ValueError(f"lattice leaves qubit(s) {bare} without an edge, so every level would be degenerate")
 
     @classmethod
     def chain(cls, n: int) -> "LatticeSpec":

@@ -14,7 +14,6 @@ from .operators import OperatorBasis
 
 # Fixed solver settings, read at call time. Only the acceptance threshold,
 # the budgets and the seed are configurable (SolveConfig).
-EPS0 = 1e-6  # gradient-norm stationarity threshold when no f_target is given
 INIT_LOW, INIT_HIGH = -1.0, 1.0  # uniform range of each restart's x0
 WOLFE_C1, WOLFE_C2 = 1e-4, 0.9  # sufficient-decrease and curvature constants
 LINE_SEARCH_MAX_EVALS = 60  # objective evaluations one line search may spend
@@ -81,9 +80,9 @@ class BfgsOutcome(NamedTuple):
     iterations: int
     inv_hessian: np.ndarray
     # why the run ended. target: f below f_target; gradient: gradient norm
-    # below 1e-12, or below EPS0 when there is no target; iter_cap:
-    # cfg.max_iters iterations; line_search: a line search failed; norm_cap:
-    # a step left ITERATE_NORM_CAP; returned: a hop fell back home
+    # below 1e-12; iter_cap: cfg.max_iters iterations; line_search: a line
+    # search failed; norm_cap: a step left ITERATE_NORM_CAP; returned: a hop
+    # fell back home
     stop: str
 
 
@@ -185,9 +184,7 @@ def _wolfe_steps(x, p, f0, slope):
     raise _LineSearchFailure
 
 
-def _bfgs_steps(
-    x0: np.ndarray, cfg: SolveConfig, f_target: Optional[float] = None, home: Optional[tuple] = None
-):
+def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: float, home: Optional[tuple] = None):
     """bfgs_minimize as a generator: yields each point x, is sent back
     (f(x), grad f(x)), and returns the BfgsOutcome."""
     x = np.asarray(x0, dtype=float).copy()
@@ -204,10 +201,10 @@ def _bfgs_steps(
     first_update = True
     iterations = 0
     while True:
-        if f_target is not None and fx < f_target:
+        if fx < f_target:
             stop = "target"
             break
-        if gnorm < 1e-12 or (f_target is None and gnorm < EPS0):
+        if gnorm < 1e-12:
             stop = "gradient"
             break
         if iterations == cfg.max_iters:
@@ -256,20 +253,21 @@ def bfgs_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     cfg: SolveConfig,
-    f_target: Optional[float] = None,
+    f_target: float,
     home: Optional[tuple] = None,
 ) -> BfgsOutcome:
     """BFGS with the standard rank-2 inverse-Hessian update.
 
-    Stops once the objective is below f_target, or, when no f_target is
-    given, once the gradient norm is below EPS0 (the flat tail of the
-    reconstruction objective has small gradients well before the objective
-    itself is small); also at a gradient norm below 1e-12, at the iteration
-    cap, on line-search failure and past ITERATE_NORM_CAP. A basin hop
-    passes its home (x*, f*), the minimum it was proposed from, and stops
-    as returned after the first iteration that lands within
-    RETURN_RADIUS * ||x*|| of x* with f >= f*: it has fallen back into the
-    basin it left. Always returns the best iterate seen, and why it stopped.
+    Stops once the objective is below f_target (a solve passes cfg.eps; the
+    flat tail of the reconstruction objective has small gradients well
+    before the objective itself is small, so no gradient threshold stands in
+    for it, and f_target = -inf minimises plainly); also at a gradient norm
+    below 1e-12, at the iteration cap, on line-search failure and past
+    ITERATE_NORM_CAP. A basin hop passes its home (x*, f*), the minimum it
+    was proposed from, and stops as returned after the first iteration that
+    lands within RETURN_RADIUS * ||x*|| of x* with f >= f*: it has fallen
+    back into the basin it left. Always returns the best iterate seen, and
+    why it stopped.
     """
     return _drive(_bfgs_steps(x0, cfg, f_target, home), lambda x: (objective(x), grad(x)))
 

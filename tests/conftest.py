@@ -11,7 +11,7 @@ def bfgs_runs(monkeypatch) -> list:
     runs = []
     steps = optimizer._bfgs_steps
 
-    def recording(x0, cfg, f_target=None, home=None):
+    def recording(x0, cfg, f_target, home=None):
         out = yield from steps(x0, cfg, f_target, home)
         runs.append((home, out))
         return out

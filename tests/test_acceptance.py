@@ -222,9 +222,9 @@ def test_criterion_8_objective_invariants():
             obj = ReconstructionObjective(basis, rec.a)
             for _ in range(4):
                 x = rng.uniform(-2, 2, m)
-                g = obj.graph(x)
-                worst_trace = max(worst_trace, abs(np.trace(g.v6).real - 1.0))
-                worst_psd = max(worst_psd, max(0.0, -float(np.min(np.linalg.eigvalsh(g.v6)))))
+                rho = obj._forward(x)["v6"]
+                worst_trace = max(worst_trace, abs(np.trace(rho).real - 1.0))
+                worst_psd = max(worst_psd, max(0.0, -float(np.min(np.linalg.eigvalsh(rho)))))
                 worst_sym = max(worst_sym, abs(obj.value(x) - obj.value(-x)))
                 min_f = min(min_f, obj.value(x))
         return worst_trace, worst_psd, worst_sym, worst_eig, min_f

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,26 @@ class TestExp:
         summary = json.loads(capsys.readouterr().out)
         assert summary["count"] == 2
 
+    def test_summarize_into_closed_pipe(self, tmp_path, exp_config):
+        # `hamlearn summarize ... | head -n 1`, with the reader gone before anything is written
+        out_path = tmp_path / "rows.jsonl"
+        main(["exp", "--config", str(exp_config), "--out", str(out_path)])
+        path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hamlearn.cli", "summarize", "--in", str(out_path)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
     def test_solve_null_means_defaults(self, tmp_path, exp_config, capsys):
         cfg = json.loads(exp_config.read_text())
         cfg["solve"] = None
@@ -214,7 +238,7 @@ class TestErrors:
             ({"num_qubits": 3, "edge": [[1, 2]]}, "lattice must be an object with keys num_qubits and edges"),
             (5, "lattice must be an object with keys num_qubits and edges"),
             # the config's n_qubits is 2: it sizes the rows, so the lattice must agree
-            ({"num_qubits": 3, "edges": [[1, 2]]}, "n_qubits 2 differs from the lattice num_qubits 3"),
+            ({"num_qubits": 3, "edges": [[1, 2], [2, 3]]}, "n_qubits 2 differs from the lattice num_qubits 3"),
         ],
         ids=["num_qubits_float", "edges_strings", "qubit_strings", "key_misspelt", "number", "num_qubits_differs"],
     )
@@ -224,6 +248,18 @@ class TestErrors:
         code = main(["exp", "--config", str(exp_config), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG_ERROR
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["exp", "gen"])
+    def test_bare_qubit_lattice_refused(self, tmp_path, capsys, command):
+        # qubit 3 has no edge, so every level of every draw would be degenerate
+        lattice = {"num_qubits": 3, "edges": [[1, 2]]}
+        cfg = {"preset": "custom", "n_qubits": 3, "num_instances": 1, "lattice": lattice}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err.startswith("error: lattice leaves qubit(s) [3] without an edge") and err.count("\n") == 1
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_exp_rejects_threads_below_one(self, tmp_path, exp_config, capsys, threads):

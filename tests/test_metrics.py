@@ -17,7 +17,6 @@ from hamlearn.operators import (
     basis_generic,
     eigenstate_measurements,
 )
-from hamlearn.objective import ReconstructionObjective
 from hamlearn.optimizer import SolveConfig, solve_hamiltonian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,20 +78,37 @@ class TestEigenstateRecovery:
 
     def test_matches_objective_hs(self):
         # on a separated ground level of Hs^2, recover_eigenstate gives the
-        # lowest eigenvector of the objective's Hs^2
+        # lowest eigenvector of Hs^2, Hs = sum_i x_i (A_i - a_i I) built here
         rng = np.random.default_rng(409)
         checked = 0
         for _ in range(20):
             basis = basis_generic(8, 3, rng)
             rec = eigenstate_measurements(basis, rng.uniform(0, 1, 3), int(rng.integers(8)))
             x = rng.uniform(-3, 3, 3)
-            w, u = np.linalg.eigh(ReconstructionObjective(basis, rec.a).graph(x).v3)
+            hs = sum(xi * (t - ai * np.eye(8)) for xi, t, ai in zip(x, basis.terms, rec.a))
+            w, u = np.linalg.eigh(hs @ hs)
             if w[1] - w[0] < 1e-2:
                 continue
             psi = recover_eigenstate(basis, x, rec.a)
             assert abs(abs(np.vdot(u[:, 0], psi)) - 1.0) < 1e-10
             checked += 1
         assert checked >= 10
+
+    def test_one_eigh(self, monkeypatch):
+        # the eigenpairs of Hs^2 come from the objective's forward pass, one eigh
+        rng = np.random.default_rng(409)
+        basis = basis_generic(8, 3, rng)
+        rec = eigenstate_measurements(basis, rng.uniform(0, 1, 3), 4)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        recover_eigenstate(basis, rng.uniform(-3, 3, 3), rec.a)
+        assert calls == [(8, 8)]
 
     def test_degenerate_warns(self):
         basis = OperatorBasis(dim=2, terms=[np.eye(2)], labels=["I"])

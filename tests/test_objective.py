@@ -168,7 +168,7 @@ class TestDensityMatrix:
             c = rng.uniform(0, 1, 3)
             rec = eigenstate_measurements(basis, c, int(rng.integers(8)))
             x = rng.uniform(-1, 1, 3)
-            rho = ReconstructionObjective(basis, rec.a).graph(x).v6
+            rho = ReconstructionObjective(basis, rec.a)._forward(x)["v6"]
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert abs(np.trace(rho).imag) < 1e-12
             assert np.linalg.norm(rho - rho.conj().T) < 1e-12
@@ -186,13 +186,15 @@ class TestDensityMatrix:
 
 class TestGraphAndDiagnostics:
     def test_graph_node_consistency(self):
-        obj = sigma_z_objective()
-        g = obj.graph([0.7])
-        assert abs(g.v10 - (g.v8 + g.v9)) < 1e-14
-        assert np.allclose(g.v3, g.v2 @ g.v2)
-        assert abs(np.trace(g.v6).real - 1.0) < 1e-12
-        assert g.v5 > 0
-        assert np.array_equal(g.x, [0.7])
+        # the forward pass's nodes agree with each other and with Hs = 0.7 (sigma_z - I)
+        fwd = sigma_z_objective()._forward([0.7])
+        assert fwd["f"] == fwd["v8"] + fwd["v9"]
+        assert np.array_equal(fwd["v2"], np.diag([0.0, -1.4]))
+        assert np.allclose((fwd["u"] * fwd["lam"]) @ fwd["uh"], fwd["v2"] @ fwd["v2"])
+        assert np.allclose(fwd["wexp"], np.exp(-(fwd["lam"] - fwd["mu"])))
+        assert fwd["v5s"][0] == fwd["wexp"].sum() >= 1.0
+        assert abs(np.trace(fwd["v6"]).real - 1.0) < 1e-12
+        assert fwd["v8"] == fwd["v7"] @ fwd["v7"]
 
     def test_graph_finite_when_eigh_round_off_is_large(self):
         # at ||x|| = 1e9 the lowest eigenvalue of Hs^2 comes out of eigh
@@ -200,13 +202,15 @@ class TestGraphAndDiagnostics:
         rng = np.random.default_rng(1)
         basis = basis_generic(8, 1, rng)
         obj = ReconstructionObjective(basis, eigenstate_measurements(basis, [1.0], int(rng.integers(8))).a)
-        assert obj._forward(np.array([1e9]))["mu"][0] < -700
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            g = obj.graph([1e9])
-        assert np.isfinite(g.v5) and g.v5 > 0
-        assert np.all(np.isfinite(g.v4))
-        assert np.allclose(g.v4 / g.v5, g.v6)
+            fwd = obj._forward(np.array([1e9]))
+        assert fwd["mu"][0] < -700
+        # the shift by mu keeps the exponential's sum and rho finite
+        assert np.isfinite(fwd["v5s"][0]) and fwd["v5s"][0] >= 1.0
+        assert np.all(np.isfinite(fwd["v6"]))
+        assert abs(np.trace(fwd["v6"]).real - 1.0) < 1e-12
+        assert np.isfinite(fwd["f"]) and fwd["f"] >= 0
 
     def test_diagnostics(self):
         obj = sigma_z_objective()
@@ -247,7 +251,6 @@ class TestForwardCache:
         obj.value(x)
         obj.gradient(x)
         obj.diagnostics(x)
-        obj.graph(x)
         obj.value(x.copy())
         assert len(calls) == 1
         obj.value(-x)
@@ -323,7 +326,7 @@ class TestStackedKernel:
 class TestShiftedTerms:
     def test_values(self):
         # Hs at x = (1) is the single shifted term B = A - a I
-        b = sigma_z_objective().graph([1.0]).v2
+        b = sigma_z_objective()._forward([1.0])["v2"]
         assert np.allclose(b, np.diag([0.0, -2.0]))
 
     def test_length_check(self):

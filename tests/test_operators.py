@@ -1,5 +1,7 @@
 """Unit tests for operator bases, embeddings, and measurement records."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,13 @@ class TestLattice:
     def test_too_few_qubits(self):
         with pytest.raises(ValueError):
             LatticeSpec(1, ())
+
+    @pytest.mark.parametrize(
+        "num_qubits, edges, bare", [(3, ((1, 2),), [3]), (4, ((2, 3),), [1, 4])], ids=["last", "both_ends"]
+    )
+    def test_bare_qubit(self, num_qubits, edges, bare):
+        with pytest.raises(ValueError, match=re.escape(f"qubit(s) {bare} without an edge")):
+            LatticeSpec(num_qubits, edges)
 
 
 class TestEmbedding:

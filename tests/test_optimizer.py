@@ -22,7 +22,6 @@ class TestSolveConfig:
     def test_defaults(self):
         cfg = SolveConfig()
         assert cfg.eps == 1e-8
-        assert optimizer.EPS0 == 1e-6
         assert cfg.max_iters == 500
         assert cfg.max_restarts == 50
 
@@ -102,15 +101,15 @@ class TestBfgs:
             lambda x: q @ x - b,
             np.array([5.0, 5.0]),
             SolveConfig(),
+            f_target=-np.inf,
         )
-        assert out.grad_norm < optimizer.EPS0
+        assert out.grad_norm < 1e-12
         assert out.stop == "gradient"
         assert np.linalg.norm(out.x - sol) < 1e-5
 
     def test_inverse_hessian_estimate(self, monkeypatch):
         # with a near-exact line search the BFGS matrix approaches Q^{-1}
         monkeypatch.setattr(optimizer, "WOLFE_C2", 1e-3)
-        monkeypatch.setattr(optimizer, "EPS0", 1e-10)
         rng = np.random.default_rng(211)
         a = rng.standard_normal((3, 3))
         q = a @ a.T + 3 * np.eye(3)
@@ -119,12 +118,11 @@ class TestBfgs:
             lambda x: q @ x,
             rng.standard_normal(3),
             SolveConfig(),
+            f_target=-np.inf,
         )
         assert np.linalg.norm(out.inv_hessian - np.linalg.inv(q)) < 1e-4
 
-    def test_rosenbrock(self, monkeypatch):
-        monkeypatch.setattr(optimizer, "EPS0", 1e-8)
-
+    def test_rosenbrock(self):
         def f(x):
             return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
 
@@ -136,7 +134,7 @@ class TestBfgs:
                 ]
             )
 
-        out = bfgs_minimize(f, g, np.array([-1.2, 1.0]), SolveConfig())
+        out = bfgs_minimize(f, g, np.array([-1.2, 1.0]), SolveConfig(), f_target=-np.inf)
         assert np.linalg.norm(out.x - np.ones(2)) < 1e-5
 
     def test_f_target_stops_early(self):
@@ -157,12 +155,13 @@ class TestBfgs:
             lambda x: np.array([-np.sin(x[0]) + 0.02 * x[0]]),
             np.array([1.0]),
             SolveConfig(),
+            f_target=-np.inf,
         )
         assert out.f <= np.cos(1.0) + 0.01
 
     def test_rejects_bad_start(self):
         with pytest.raises(ValueError):
-            bfgs_minimize(lambda x: 0.0, lambda x: x, np.array([np.inf]), SolveConfig())
+            bfgs_minimize(lambda x: 0.0, lambda x: x, np.array([np.inf]), SolveConfig(), f_target=-np.inf)
 
 
 def double_well():
@@ -181,15 +180,15 @@ class TestStopReasons:
         def g(x):
             return np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2), 200 * (x[1] - x[0] ** 2)])
 
-        out = bfgs_minimize(f, g, np.array([-1.2, 1.0]), SolveConfig(max_iters=3))
+        out = bfgs_minimize(f, g, np.array([-1.2, 1.0]), SolveConfig(max_iters=3), f_target=-np.inf)
         assert (out.stop, out.iterations) == ("iter_cap", 3)
 
     def test_hop_back_home_returns(self):
         f, g = double_well()
-        spurious = bfgs_minimize(f, g, np.array([0.3]), SolveConfig())
+        spurious = bfgs_minimize(f, g, np.array([0.3]), SolveConfig(), f_target=-np.inf)
         assert spurious.x[0] > 0
-        plain = bfgs_minimize(f, g, np.array([0.7]), SolveConfig())
-        hop = bfgs_minimize(f, g, np.array([0.7]), SolveConfig(), home=(spurious.x, spurious.f))
+        plain = bfgs_minimize(f, g, np.array([0.7]), SolveConfig(), f_target=-np.inf)
+        hop = bfgs_minimize(f, g, np.array([0.7]), SolveConfig(), f_target=-np.inf, home=(spurious.x, spurious.f))
         assert (plain.stop, hop.stop) == ("gradient", "returned")
         assert hop.iterations < plain.iterations
         # no lower than the home, so it cannot replace the chain's point
@@ -199,9 +198,9 @@ class TestStopReasons:
     def test_hop_that_escapes_runs_on(self):
         # a hop that crosses into the deeper basin runs as if it had no home
         f, g = double_well()
-        spurious = bfgs_minimize(f, g, np.array([0.3]), SolveConfig())
-        plain = bfgs_minimize(f, g, np.array([1.3]), SolveConfig())
-        hop = bfgs_minimize(f, g, np.array([1.3]), SolveConfig(), home=(spurious.x, spurious.f))
+        spurious = bfgs_minimize(f, g, np.array([0.3]), SolveConfig(), f_target=-np.inf)
+        plain = bfgs_minimize(f, g, np.array([1.3]), SolveConfig(), f_target=-np.inf)
+        hop = bfgs_minimize(f, g, np.array([1.3]), SolveConfig(), f_target=-np.inf, home=(spurious.x, spurious.f))
         assert hop.stop == "gradient" and hop.f < spurious.f
         assert np.array_equal(hop.x, plain.x) and hop.iterations == plain.iterations
 

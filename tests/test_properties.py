@@ -48,7 +48,7 @@ def test_sign_symmetry(inst):
 @given(instances())
 def test_density_matrix_is_a_state(inst):
     basis, rec, x = inst
-    rho = ReconstructionObjective(basis, rec.a).graph(x).v6
+    rho = ReconstructionObjective(basis, rec.a)._forward(x)["v6"]
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.array_equal(rho, rho.conj().T)
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
