@@ -14,7 +14,7 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -119,6 +119,10 @@ class ExperimentConfig:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown experiment-config keys: {sorted(unknown)}")
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+        missing = [k for k in required if k not in obj]
+        if missing:
+            raise ValueError(f"missing experiment-config keys: {missing}")
         return cls(**obj)
 
     @classmethod
@@ -245,8 +249,9 @@ def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_inde
 # 40.2 and 41.9 MB peak memory, so 8. On generic suites at d = 4 and d = 8,
 # 8 rows also took less CPU than 1 or 4. At d = 32 two rows cost what one
 # does and four cost more, and at d = 64 four cost 1.1x to 1.7x a row, so
-# wide rows are not stacked; there the pool was worth 1.1x to 1.5x in wall
-# time at d = 64 to 128.
+# wide rows are not stacked. There the pool pays at d = 128: a local_chain
+# n = 7 suite of 5 rows took 40 to 44 s of wall and 76 to 81 s of CPU at
+# threads = 2 against 78 to 83 s of both at threads = 1.
 ROWS_IN_FLIGHT = 8
 STACK_DIM_MAX = 16
 

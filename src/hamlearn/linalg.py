@@ -29,11 +29,11 @@ def as_square(mat) -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def check_hermitian(a: np.ndarray) -> np.ndarray:
     a = as_square(a)
     dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > tol:
-        raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {dev:.3e} > {tol:.1e}")
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {dev:.3e} > {HERMITIAN_TOL:.1e}")
     return a
 
 

@@ -31,11 +31,10 @@ class Diagnostics:
     ground_prob: float
 
 
-def first_positive_gap(spectrum: np.ndarray, tol: float = 1e-12) -> float:
-    """First gap of an ascending spectrum exceeding tol (0.0 if none)."""
-    gaps = np.diff(spectrum)
-    for g in gaps:
-        if g > tol:
+def first_positive_gap(spectrum: np.ndarray) -> float:
+    """First gap of an ascending spectrum exceeding 1e-12 (0.0 if none)."""
+    for g in np.diff(spectrum):
+        if g > 1e-12:
             return float(g)
     return 0.0
 

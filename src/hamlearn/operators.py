@@ -12,8 +12,6 @@ from . import linalg
 
 GAP_TOL = 1e-8
 
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 class DegenerateEigenstateError(ValueError):
     """Raised when the requested eigenstate sits in a (near-)degenerate level."""
@@ -164,8 +162,6 @@ def embed_two_local(a4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
         raise ValueError(f"expected a 4x4 operator, got {a4.shape}")
     if not (1 <= i < j <= n):
         raise ValueError(f"qubit pair ({i},{j}) out of range for n = {n}")
-    if n == 2:
-        return a4.copy()
     rest = [q for q in range(1, n + 1) if q != i and q != j]
     full = np.kron(a4, np.eye(2 ** (n - 2)))
     # tensor axes of `full` currently belong to qubits [i, j, *rest];

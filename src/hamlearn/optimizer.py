@@ -197,7 +197,6 @@ def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: float, home: Optiona
     h = np.eye(n)
     fx, gx = yield x
     gnorm = _norm(gx)
-    best_x, best_f, best_g = x, fx, gnorm
     first_update = True
     iterations = 0
     while True:
@@ -240,12 +239,10 @@ def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: float, home: Optiona
             h = h - rho * (s_hy + s_hy.T) + rho * (rho * float(y @ hy) + 1.0) * (s[:, None] * s)
         x, fx, gx = x_new, f_new, g_new
         gnorm = _norm(gx)
-        if fx < best_f:
-            best_x, best_f, best_g = x, fx, gnorm
         if home is not None and fx >= f_home and _norm(x - x_home) <= home_radius:
             stop = "returned"
             break
-    return BfgsOutcome(best_x, best_f, best_g, iterations, h, stop)
+    return BfgsOutcome(x, fx, gnorm, iterations, h, stop)
 
 
 def bfgs_minimize(
@@ -266,8 +263,10 @@ def bfgs_minimize(
     ITERATE_NORM_CAP. A basin hop passes its home (x*, f*), the minimum it
     was proposed from, and stops as returned after the first iteration that
     lands within RETURN_RADIUS * ||x*|| of x* with f >= f*: it has fallen
-    back into the basin it left. Always returns the best iterate seen, and
-    why it stopped.
+    back into the basin it left. Returns the last iterate, and why it
+    stopped. The last iterate is also the best: the strong Wolfe search
+    accepts only steps with f <= f0 + WOLFE_C1 * a * slope, below f0 for a
+    descent direction, so f never rises from one iterate to the next.
     """
     return _drive(_bfgs_steps(x0, cfg, f_target, home), lambda x: (objective(x), grad(x)))
 

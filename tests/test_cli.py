@@ -261,6 +261,15 @@ class TestErrors:
         assert code == EXIT_CONFIG_ERROR
         assert err.startswith("error: lattice leaves qubit(s) [3] without an edge") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["exp", "gen"])
+    def test_missing_keys_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "generic", "n_qubits": 2, "m_terms": 2}))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG_ERROR
+        assert err == "error: missing experiment-config keys: ['num_instances']\n"
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_exp_rejects_threads_below_one(self, tmp_path, exp_config, capsys, threads):
         out_path = tmp_path / "rows.jsonl"

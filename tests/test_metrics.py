@@ -11,7 +11,6 @@ from hamlearn.metrics import (
     report,
 )
 from hamlearn.operators import (
-    PAULI_Z,
     OperatorBasis,
     assemble,
     basis_generic,
@@ -20,6 +19,7 @@ from hamlearn.operators import (
 from hamlearn.optimizer import SolveConfig, solve_hamiltonian
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class TestFidelity:

@@ -10,13 +10,14 @@ from hamlearn import linalg
 from hamlearn import objective as obj_mod
 from hamlearn.objective import ReconstructionObjective, first_positive_gap
 from hamlearn.operators import (
-    PAULI_Z,
     LatticeSpec,
     OperatorBasis,
     basis_generic,
     basis_two_local,
     eigenstate_measurements,
 )
+
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def scalar_closed_form(x):

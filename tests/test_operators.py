@@ -20,6 +20,7 @@ from hamlearn.operators import (
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def embed_bruteforce(a4, i, j, n):
@@ -140,9 +141,7 @@ class TestBases:
             OperatorBasis(dim=3, terms=[np.eye(2)], labels=["a"])
 
     def test_assemble(self):
-        basis = OperatorBasis(
-            dim=2, terms=[PAULI_X, operators.PAULI_Z], labels=["x", "z"]
-        )
+        basis = OperatorBasis(dim=2, terms=[PAULI_X, PAULI_Z], labels=["x", "z"])
         h = assemble(basis, [2.0, -1.0])
         assert np.allclose(h, np.array([[-1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(ValueError):
@@ -197,7 +196,7 @@ class TestMeasurements:
             eigenstate_measurements(basis, [1.0], 0)
 
     def test_index_out_of_range(self):
-        basis = OperatorBasis(dim=2, terms=[operators.PAULI_Z], labels=["z"])
+        basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
         with pytest.raises(ValueError):
             eigenstate_measurements(basis, [1.0], 2)
 

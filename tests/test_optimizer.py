@@ -5,7 +5,7 @@ import pytest
 
 from hamlearn import optimizer
 from hamlearn.objective import ReconstructionObjective
-from hamlearn.operators import PAULI_Z, OperatorBasis, basis_generic, eigenstate_measurements
+from hamlearn.operators import OperatorBasis, basis_generic, eigenstate_measurements
 from hamlearn.optimizer import (
     SolveConfig,
     _LineSearchFailure,
@@ -16,6 +16,8 @@ from hamlearn.optimizer import (
     solve_hamiltonian,
     solve_steps,
 )
+
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class TestSolveConfig:
@@ -91,18 +93,25 @@ class TestWolfeSearch:
         assert point.tolist() == [a] and grad.tolist() == [line.dphi(a)]
 
 
+def quadratic():
+    """f and grad of a convex quadratic, minimum at Q^{-1} b, and that minimum."""
+    q = np.array([[3.0, 0.5], [0.5, 1.0]])
+    b = np.array([1.0, -2.0])
+    return lambda x: 0.5 * x @ q @ x - b @ x, lambda x: q @ x - b, np.linalg.solve(q, b)
+
+
+def rosenbrock():
+    """f and grad of the Rosenbrock function, minimum 0 at (1, 1)."""
+    return (
+        lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2,
+        lambda x: np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2), 200 * (x[1] - x[0] ** 2)]),
+    )
+
+
 class TestBfgs:
     def test_quadratic(self):
-        q = np.array([[3.0, 0.5], [0.5, 1.0]])
-        b = np.array([1.0, -2.0])
-        sol = np.linalg.solve(q, b)
-        out = bfgs_minimize(
-            lambda x: 0.5 * x @ q @ x - b @ x,
-            lambda x: q @ x - b,
-            np.array([5.0, 5.0]),
-            SolveConfig(),
-            f_target=-np.inf,
-        )
+        f, g, sol = quadratic()
+        out = bfgs_minimize(f, g, np.array([5.0, 5.0]), SolveConfig(), f_target=-np.inf)
         assert out.grad_norm < 1e-12
         assert out.stop == "gradient"
         assert np.linalg.norm(out.x - sol) < 1e-5
@@ -123,18 +132,7 @@ class TestBfgs:
         assert np.linalg.norm(out.inv_hessian - np.linalg.inv(q)) < 1e-4
 
     def test_rosenbrock(self):
-        def f(x):
-            return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-
-        def g(x):
-            return np.array(
-                [
-                    -2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
-                    200 * (x[1] - x[0] ** 2),
-                ]
-            )
-
-        out = bfgs_minimize(f, g, np.array([-1.2, 1.0]), SolveConfig(), f_target=-np.inf)
+        out = bfgs_minimize(*rosenbrock(), np.array([-1.2, 1.0]), SolveConfig(), f_target=-np.inf)
         assert np.linalg.norm(out.x - np.ones(2)) < 1e-5
 
     def test_f_target_stops_early(self):
@@ -164,6 +162,58 @@ class TestBfgs:
             bfgs_minimize(lambda x: 0.0, lambda x: x, np.array([np.inf]), SolveConfig(), f_target=-np.inf)
 
 
+class TestLastIterateIsBest:
+    """bfgs_minimize returns its last iterate, which is its best only because
+    the line search never accepts a step that raises f."""
+
+    @pytest.fixture
+    def accepted(self, monkeypatch) -> list:
+        """(f0, (a, f, x, grad)) of every step a line search accepts, in order."""
+        steps = []
+        search = optimizer._wolfe_steps
+
+        def recording(x, p, f0, slope):
+            out = yield from search(x, p, f0, slope)
+            steps.append((f0, out))
+            return out
+
+        monkeypatch.setattr(optimizer, "_wolfe_steps", recording)
+        return steps
+
+    def check_run(self, accepted, f, g, x0, f_target):
+        accepted.clear()
+        out = bfgs_minimize(f, g, x0, SolveConfig(), f_target=f_target)
+        for f0, (_, fa, _, _) in accepted:
+            assert fa <= f0
+        # a step past the norm cap is accepted by the search, not taken
+        taken = accepted[:-1] if out.stop == "norm_cap" else accepted
+        for (_, (_, f_prev, _, _)), (f0, _) in zip(taken, taken[1:]):
+            assert f0 == f_prev
+        if taken:
+            _, (_, f_last, x_last, g_last) = taken[-1]
+        else:
+            f_last, x_last, g_last = f(x0), x0, g(x0)
+        assert np.array_equal(out.x, x_last)
+        assert (out.f, out.grad_norm, out.iterations) == (f_last, float(np.linalg.norm(g_last)), len(taken))
+        return len(taken)
+
+    def test_quadratic_and_rosenbrock(self, accepted):
+        f, g, _ = quadratic()
+        assert self.check_run(accepted, f, g, np.array([5.0, 5.0]), -np.inf) > 0
+        assert self.check_run(accepted, *rosenbrock(), np.array([-1.2, 1.0]), -np.inf) > 10
+
+    @pytest.mark.parametrize("seed", [401, 402, 403])
+    def test_generic_objectives(self, accepted, seed):
+        rng = np.random.default_rng(seed)
+        basis = basis_generic(16, 3, rng)
+        rec = eigenstate_measurements(basis, rng.uniform(0, 1, 3), int(rng.integers(16)))
+        obj = ReconstructionObjective(basis, rec.a)
+        taken = sum(
+            self.check_run(accepted, obj.value, obj.gradient, rng.uniform(-1, 1, 3), 1e-8) for _ in range(4)
+        )
+        assert taken > 20
+
+
 def double_well():
     """f and grad of a line with a spurious minimum near 0.96 and the global one near -1.04."""
     return (
@@ -174,13 +224,7 @@ def double_well():
 
 class TestStopReasons:
     def test_iter_cap(self):
-        def f(x):
-            return (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
-
-        def g(x):
-            return np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2), 200 * (x[1] - x[0] ** 2)])
-
-        out = bfgs_minimize(f, g, np.array([-1.2, 1.0]), SolveConfig(max_iters=3), f_target=-np.inf)
+        out = bfgs_minimize(*rosenbrock(), np.array([-1.2, 1.0]), SolveConfig(max_iters=3), f_target=-np.inf)
         assert (out.stop, out.iterations) == ("iter_cap", 3)
 
     def test_hop_back_home_returns(self):
