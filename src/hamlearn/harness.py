@@ -15,24 +15,25 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import metrics
-from .objective import ReconstructionObjective, evaluate_stacked, stack_operands
+from .objective import evaluate_stacked, stack_operands
 from .operators import (
     GAP_TOL,
     DegenerateEigenstateError,
     LatticeSpec,
-    MeasurementRecord,
     OperatorBasis,
     assemble,
     basis_generic,
     basis_two_local,
     eigenstate_measurements,
+    require_int,
+    require_object,
 )
-from .optimizer import SolveConfig, require_int, solve_hamiltonian, solve_steps
+from .optimizer import SolveConfig, solve_hamiltonian, solve_steps
 
 PRESETS = ("generic", "local_full", "local_chain", "custom")
 MAX_REDRAWS = 10
@@ -108,6 +109,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        require_object("experiment config", obj)
         obj = dict(obj)
         if obj.get("lattice") is not None:
             obj["lattice"] = _lattice_from_dict(obj["lattice"])
@@ -135,13 +137,9 @@ def _lattice_from_dict(lat) -> LatticeSpec:
     """The LatticeSpec of a config's {"num_qubits": n, "edges": [[i, j], ...]}."""
     if not isinstance(lat, dict) or set(lat) != {"num_qubits", "edges"}:
         raise ValueError(f"lattice must be an object with keys num_qubits and edges, got {lat!r}")
-    require_int("lattice num_qubits", lat["num_qubits"])
     edges = lat["edges"]
     if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
         raise ValueError(f"lattice edges must be a list of [i, j] qubit pairs, got {edges!r}")
-    for i, j in edges:
-        require_int("lattice edge qubit", i)
-        require_int("lattice edge qubit", j)
     return LatticeSpec(lat["num_qubits"], tuple(tuple(e) for e in edges))
 
 
@@ -238,6 +236,15 @@ def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_inde
     return _finish_row(row_id, basis, record, solve_cfg.seed, result, t0)
 
 
+def _row_steps(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index):
+    """_run_row as a generator: yields the row's objective, then each point
+    its solve needs evaluated (see solve_steps), and returns the ResultRow."""
+    t0 = time.perf_counter()
+    basis, record, solve_cfg = _start_row(cfg, row_id, instance_index, eigen_index)
+    result = yield from solve_steps(basis, record.a, solve_cfg)
+    return _finish_row(row_id, basis, record, solve_cfg.seed, result, t0)
+
+
 # Rows the lockstep worker stacks at d <= STACK_DIM_MAX; wider rows run
 # _run_row, one per thread of a pool. Measured (2 cores, one BLAS thread): at
 # d = 16, m = 3 a stacked evaluation costs 184 us a row alone, 96 at 8 rows
@@ -256,36 +263,24 @@ ROWS_IN_FLIGHT = 8
 STACK_DIM_MAX = 16
 
 
-@dataclass
-class _Flight:
-    """A row in flight in a lockstep worker, with the point it waits on."""
+def _answers(objectives: Sequence, points: Sequence, ops: tuple) -> list:
+    """(f, grad) of each objective at its point, or the exception evaluating
+    it raised.
 
-    row_id: int
-    t0: float
-    basis: OperatorBasis
-    record: MeasurementRecord
-    seed: int
-    objective: ReconstructionObjective
-    steps: object  # the solve_steps generator
-    x: np.ndarray
-
-
-def _answers(flights: list, ops: tuple) -> list:
-    """(f, grad) at each flight's point, or the exception evaluating it raised.
-
-    One stacked evaluation over ops, the flights' stacked operands, answers
-    all of them. If it raises, each row is evaluated alone, so a failure is
-    charged to the row that raises it, with the message it raises alone.
+    One stacked evaluation over ops, the objectives' stacked operands,
+    answers all of them. If it raises, each row is evaluated alone, so a
+    failure is charged to the row that raises it, with the message it
+    raises alone.
     """
     try:
-        fs, gs = evaluate_stacked(ops, [fl.x for fl in flights])
+        fs, gs = evaluate_stacked(ops, points)
         return list(zip(fs, gs))
     except Exception:
         pass
     out = []
-    for fl in flights:
+    for obj, x in zip(objectives, points):
         try:
-            out.append((fl.objective.value(fl.x), fl.objective.gradient(fl.x)))
+            out.append((obj.value(x), obj.gradient(x)))
         except Exception as exc:
             out.append(exc)
     return out
@@ -294,44 +289,40 @@ def _answers(flights: list, ops: tuple) -> list:
 def _lockstep_worker(cfg: ExperimentConfig, tasks: list) -> dict:
     """Solve the rows of `tasks`, up to ROWS_IN_FLIGHT of them in lockstep.
 
-    Every step answers the pending point of each row in flight with one
-    stacked evaluation; a row that ends is replaced by the next task. The
-    rows' operands are stacked again only when the rows in flight change.
-    Returns {row_id: ResultRow, or the exception the row raised}.
+    Each row is a _row_steps generator. Every step answers the pending point
+    of each row in flight with one stacked evaluation; a row that ends is
+    replaced by the next task. The rows' operands are stacked again only
+    when the rows in flight change. Returns {row_id: ResultRow, or the
+    exception the row raised}.
     """
     pending = collections.deque(tasks)
     done = {}
-    flights = []
+    flights = []  # (row_id, steps, objective, point) of each row in flight
     ops = None  # the flights' stacked operands; None once the flights change
     while True:
         while pending and len(flights) < ROWS_IN_FLIGHT:
             row_id, instance_index, eigen_index = pending.popleft()
-            t0 = time.perf_counter()
-            try:
-                basis, record, solve_cfg = _start_row(cfg, row_id, instance_index, eigen_index)
-                obj, steps = solve_steps(basis, record.a, solve_cfg)
-                flights.append(_Flight(row_id, t0, basis, record, solve_cfg.seed, obj, steps, next(steps)))
+            steps = _row_steps(cfg, row_id, instance_index, eigen_index)
+            try:  # the row's objective, then its first point
+                flights.append((row_id, steps, next(steps), next(steps)))
                 ops = None
             except Exception as exc:
                 done[row_id] = exc
         if not flights:
             return done
+        _, _, objectives, points = zip(*flights)
         if ops is None:
-            ops = stack_operands([fl.objective for fl in flights])
+            ops = stack_operands(objectives)
         waiting = []
-        for fl, answer in zip(flights, _answers(flights, ops)):
+        for (row_id, steps, obj, _), answer in zip(flights, _answers(objectives, points, ops)):
             try:
                 if isinstance(answer, Exception):
                     raise answer
-                fl.x = fl.steps.send(answer)
-                waiting.append(fl)
+                waiting.append((row_id, steps, obj, steps.send(answer)))
             except StopIteration as stop:
-                try:
-                    done[fl.row_id] = _finish_row(fl.row_id, fl.basis, fl.record, fl.seed, stop.value, fl.t0)
-                except Exception as exc:
-                    done[fl.row_id] = exc
+                done[row_id] = stop.value
             except Exception as exc:
-                done[fl.row_id] = exc
+                done[row_id] = exc
         if len(waiting) < len(flights):
             ops = None
         flights = waiting

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,6 +18,20 @@ class DegenerateEigenstateError(ValueError):
     """Raised when the requested eigenstate sits in a (near-)degenerate level."""
 
 
+def require_int(name: str, value, minimum: Optional[int] = None) -> None:
+    """Raise ValueError unless value is an integer (not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def require_object(name: str, value) -> None:
+    """Raise ValueError unless value is a dict, as a parsed JSON object is."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Qubit lattice as an edge list; qubits are 1-indexed, edges i < j."""
@@ -25,10 +40,13 @@ class LatticeSpec:
     edges: tuple
 
     def __post_init__(self):
+        require_int("lattice num_qubits", self.num_qubits)
         if self.num_qubits < 2:
             raise ValueError("lattice needs at least 2 qubits")
         seen = set()
         for i, j in self.edges:
+            require_int("lattice edge qubit", i)
+            require_int("lattice edge qubit", j)
             if not (1 <= i < j <= self.num_qubits):
                 raise ValueError(f"bad edge ({i},{j}) for {self.num_qubits} qubits")
             if (i, j) in seen:

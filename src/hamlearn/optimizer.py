@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .objective import ReconstructionObjective, first_positive_gap
-from .operators import OperatorBasis
+from .operators import OperatorBasis, require_int, require_object
 
 # Fixed solver settings, read at call time. Only the acceptance threshold,
 # the budgets and the seed are configurable (SolveConfig).
@@ -25,14 +25,6 @@ HOPS_PER_RESTART = 12  # outward basin-hop proposals after each stall
 # 1490 would have solved it and 27 ended lower, at 0.4, 8 and 103 of 2882.
 RETURN_RADIUS = 0.2
 RANGE_SLACK = 1e-10  # a measurement's round-off past its term's range, per unit of spectral radius
-
-
-def require_int(name: str, value, minimum: Optional[int] = None) -> None:
-    """Raise ValueError unless value is an integer (not a bool) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
 
 
 @dataclass
@@ -53,6 +45,7 @@ class SolveConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SolveConfig":
+        require_object("solve config", obj)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:
@@ -381,20 +374,17 @@ def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None
 
 
 def solve_steps(basis: OperatorBasis, a, cfg: SolveConfig):
-    """solve_hamiltonian as one generator of evaluation points, for callers
-    that evaluate many solves together.
+    """solve_hamiltonian as one generator, for callers that evaluate many
+    solves together.
 
-    Returns (objective, steps): steps yields each point x at which the
-    objective's value and gradient are needed, is sent back (f, grad), and
-    returns the SolveResult that solve_hamiltonian returns for the same
-    arguments, bit for bit, when every answer has the bits of
+    Yields the ReconstructionObjective first, then each point x at which its
+    value and gradient are needed, is sent back (f, grad) there, and returns
+    the SolveResult that solve_hamiltonian returns for the same arguments,
+    bit for bit, when every answer has the bits of
     (objective.value(x), objective.gradient(x)).
     """
     obj = _objective(basis, a)
-    return obj, _solve_points(obj, cfg)
-
-
-def _solve_points(obj: ReconstructionObjective, cfg: SolveConfig):
+    yield obj
     runs = _restart_steps(obj, cfg)
     try:
         x0, home = next(runs)

@@ -270,6 +270,37 @@ class TestErrors:
         assert code == EXIT_CONFIG_ERROR
         assert err == "error: missing experiment-config keys: ['num_instances']\n"
 
+    @pytest.mark.parametrize("command", ["exp", "gen", "solve"])
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([1, 2], "error: experiment config must be a JSON object, got [1, 2]\n"),
+            ("generic", "error: experiment config must be a JSON object, got 'generic'\n"),
+            ({"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 2, "solve": 5},
+             "error: solve config must be a JSON object, got 5\n"),
+            ({"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 2, "solve": []},
+             "error: solve config must be a JSON object, got []\n"),
+        ],
+        ids=["list", "string", "solve_number", "solve_list"],
+    )
+    def test_non_object_config_refused(self, tmp_path, exp_config, capsys, command, config, message):
+        instances = tmp_path / "instances"
+        main(["gen", "--config", str(exp_config), "--out", str(instances)])
+        capsys.readouterr()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        args = {
+            "exp": ["--out", str(tmp_path / "rows.jsonl")],
+            "gen": ["--out", str(tmp_path / "o")],
+            "solve": [
+                "--basis", str(instances / "basis_0000.json"),
+                "--measurements", str(instances / "record_0000.json"),
+            ],
+        }[command]
+        code = main([command, "--config", str(path), *args])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_exp_rejects_threads_below_one(self, tmp_path, exp_config, capsys, threads):
         out_path = tmp_path / "rows.jsonl"

@@ -3,7 +3,6 @@
 import json
 import sys
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,6 +264,27 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"^row 1 cannot be drawn$"):
             run_experiment(small_config(num_instances=4), threads=threads)
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_report_error_propagates(self, monkeypatch, threads):
+        # a row whose report raises after its solve counts as failed like a
+        # row that cannot be drawn; the lower row id's error is raised
+        draw, report = harness.draw_instance, harness.metrics.report
+
+        def failing_draw(cfg, row_id, *args):
+            if row_id == 3:
+                raise RuntimeError("row 3 cannot be drawn")
+            return draw(cfg, row_id, *args)
+
+        def failing_report(basis, result, record):
+            if record.basis_ref == "basis_0002":
+                raise RuntimeError("row 2 cannot be reported")
+            return report(basis, result, record)
+
+        monkeypatch.setattr(harness, "draw_instance", failing_draw)
+        monkeypatch.setattr(harness.metrics, "report", failing_report)
+        with pytest.raises(RuntimeError, match=r"^row 2 cannot be reported$"):
+            run_experiment(small_config(num_instances=4), threads=threads)
+
     def test_rows_in_flight_follow_row_dimension(self, monkeypatch):
         # n_qubits sets the rows' dimension, a custom lattice's too: wide
         # rows run _run_row in a pool, narrow ones start no thread
@@ -283,19 +303,19 @@ class TestRunExperiment:
         # one row's non-finite point makes the stacked evaluation raise; each
         # row is then answered alone, and only that row gets the exception
         rng = np.random.default_rng(5)
-        flights = []
+        objectives, points = [], []
         for i in range(3):
             basis = basis_generic(4, 2, rng)
             rec = eigenstate_measurements(basis, rng.uniform(0, 1, 2), 1)
-            x = np.array([np.nan, 0.0]) if i == 1 else rng.uniform(-1, 1, 2)
-            flights.append(SimpleNamespace(objective=ReconstructionObjective(basis, rec.a), x=x))
-        answers = harness._answers(flights, stack_operands([fl.objective for fl in flights]))
+            objectives.append(ReconstructionObjective(basis, rec.a))
+            points.append(np.array([np.nan, 0.0]) if i == 1 else rng.uniform(-1, 1, 2))
+        answers = harness._answers(objectives, points, stack_operands(objectives))
         assert isinstance(answers[1], ValueError)
         for i in (0, 2):
-            alone = ReconstructionObjective(flights[i].objective.basis, flights[i].objective.a)
+            alone = ReconstructionObjective(objectives[i].basis, objectives[i].a)
             f, g = answers[i]
-            assert f == alone.value(flights[i].x)
-            assert np.array_equal(g, alone.gradient(flights[i].x))
+            assert f == alone.value(points[i])
+            assert np.array_equal(g, alone.gradient(points[i]))
 
 
 class TestSummarizeAndIo:

@@ -71,6 +71,21 @@ class TestLattice:
         with pytest.raises(ValueError, match=re.escape(f"qubit(s) {bare} without an edge")):
             LatticeSpec(num_qubits, edges)
 
+    @pytest.mark.parametrize(
+        "num_qubits, edges, message",
+        [
+            (3, ((1, 2), (2.5, 3)), "lattice edge qubit must be an integer, got 2.5"),
+            (3, ((1, 2), (2, 3.0)), "lattice edge qubit must be an integer, got 3.0"),
+            (3, ((True, 2), (2, 3)), "lattice edge qubit must be an integer, got True"),
+            (2.0, ((1, 2),), "lattice num_qubits must be an integer, got 2.0"),
+        ],
+        ids=["fractional_qubit", "float_qubit", "bool_qubit", "float_num_qubits"],
+    )
+    def test_non_integer_refused(self, num_qubits, edges, message):
+        # a float qubit would reach the embedding (AxisError) or a term's label (A2_3.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LatticeSpec(num_qubits, edges)
+
 
 class TestEmbedding:
     def test_against_bruteforce(self):

@@ -366,7 +366,8 @@ class TestSolveHamiltonian:
         basis = basis_generic(8, 3, rng)
         rec = eigenstate_measurements(basis, rng.uniform(0, 1, 3), 4)
         cfg = SolveConfig(seed=9, max_restarts=20)
-        obj, steps = solve_steps(basis, rec.a, cfg)
+        steps = solve_steps(basis, rec.a, cfg)
+        obj = next(steps)
         points = []
 
         def answer(x):
