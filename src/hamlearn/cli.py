@@ -20,16 +20,9 @@ EXIT_CONFIG_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 
-def _load_experiment_config(path, seed_override=None) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(path)
-    if seed_override is not None:
-        cfg = replace(cfg, seed=seed_override)
-    return cfg
-
-
 def cmd_gen(args) -> int:
     """Write the basis and record of every row `exp` would solve, named by row id."""
-    cfg = _load_experiment_config(args.config, args.seed)
+    cfg = ExperimentConfig.from_file(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tasks = harness._row_tasks(cfg)
@@ -52,7 +45,7 @@ def _check_writable(out) -> None:
 def cmd_solve(args) -> int:
     basis = load_basis(args.basis)
     record = load_record(args.measurements)
-    solve_cfg = _load_experiment_config(args.config).solve if args.config else SolveConfig()
+    solve_cfg = ExperimentConfig.from_file(args.config).solve if args.config else SolveConfig()
     if args.seed is not None:
         solve_cfg = replace(solve_cfg, seed=args.seed)
     if args.out:
@@ -70,15 +63,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    cfg = _load_experiment_config(args.config, args.seed)
-    out = args.out or cfg.out_path
-    if out is None:
-        raise ValueError("no output path: pass --out or set out_path in the config")
-    _check_writable(out)
+    cfg = ExperimentConfig.from_file(args.config)
+    if args.out is None:  # not argparse's required=True: its exit 2 is exp's "not converged"
+        raise ValueError("no output path: pass --out")
+    _check_writable(args.out)
     rows = run_experiment(cfg, threads=args.threads)
-    write_rows(rows, out, fmt=args.format)
-    summary = summarize(rows)
-    print(json.dumps(summary, indent=2))
+    write_rows(rows, args.out, fmt=args.format)
+    print(json.dumps(summarize([r.to_json() for r in rows]), indent=2))
     if any(not r.converged for r in rows):
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -97,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="emit operator bases and measurement records")
     p_gen.add_argument("--config", required=True)
     p_gen.add_argument("--out", required=True, help="output directory")
-    p_gen.add_argument("--seed", type=int, default=None)
     p_gen.set_defaults(func=cmd_gen)
 
     p_solve = sub.add_parser("solve", help="single reconstruction from files")
@@ -110,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("exp", help="run a full experiment suite")
     p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--out", default=None)
-    p_exp.add_argument("--seed", type=int, default=None)
+    p_exp.add_argument("--out", default=None, help="rows file; required")
     p_exp.add_argument(
         "--threads",
         type=int,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import csv
 import json
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -83,7 +84,6 @@ class ExperimentConfig:
     lattice: Optional[LatticeSpec] = None  # custom preset only
     eigen_index_policy: object = "random"  # "random" | "all" | int (fixed)
     solve: SolveConfig = field(default_factory=SolveConfig)
-    out_path: Optional[str] = None
 
     def __post_init__(self):
         if self.preset not in PRESETS:
@@ -355,19 +355,27 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
 
 
 def summarize(rows) -> dict:
-    """Aggregate fidelity statistics and histogram counts over the rows."""
+    """Aggregate fidelity statistics and histogram counts over JSON row
+    objects, as read_rows returns them; a row is named by its place from 1."""
     if not rows:
         raise ValueError("no rows to summarize")
-    dicts = [r.to_json() if isinstance(r, ResultRow) else dict(r) for r in rows]
-    fid = np.array([r["abs_fidelity"] for r in dicts])
+    for i, r in enumerate(rows, 1):
+        for key in ("abs_fidelity", "converged"):
+            if key not in r:
+                raise ValueError(f"row {i} has no {key}")
+        if isinstance(r["abs_fidelity"], bool) or not isinstance(r["abs_fidelity"], numbers.Real):
+            raise ValueError(f"row {i}: abs_fidelity must be a real number, got {r['abs_fidelity']!r}")
+        if not isinstance(r["converged"], bool):
+            raise ValueError(f"row {i}: converged must be true or false, got {r['converged']!r}")
+    fid = np.array([r["abs_fidelity"] for r in rows])
     # a fidelity exceeds 1 by round-off only; binned at 1, it is not left out
     counts, edges = np.histogram(np.minimum(fid, HIST_RANGE[1]), bins=HIST_BINS, range=HIST_RANGE)
     return {
-        "count": len(dicts),
+        "count": len(rows),
         "mean_abs_fidelity": float(np.mean(fid)),
         "median_abs_fidelity": float(np.median(fid)),
         "min_abs_fidelity": float(np.min(fid)),
-        "convergence_rate": float(np.mean([bool(r["converged"]) for r in dicts])),
+        "convergence_rate": float(np.mean([r["converged"] for r in rows])),
         "histogram": {
             "bin_edges": edges.tolist(),
             "counts": counts.tolist(),
@@ -392,10 +400,12 @@ def write_rows(rows, path, fmt: str = "jsonl") -> None:
 
 
 def read_rows(path) -> list:
+    """The row objects of a JSONL file, one a line; blank lines are skipped."""
     rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        for n, line in enumerate(fh, 1):
+            if line.strip():
+                row = json.loads(line)
+                require_object(f"{path} line {n}", row)
+                rows.append(row)
     return rows

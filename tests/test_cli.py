@@ -217,9 +217,11 @@ class TestErrors:
             ("lattice", {"num_qubits": 2, "edges": [[1, 2]]}, "lattice is needed by preset custom and refused"),
             # a level sweep is "eigen_index_policy": "all" on any preset
             ("preset", "level_sweep", "unknown preset 'level_sweep'"),
+            # exp writes where --out says, and nowhere a config names
+            ("out_path", "rows.jsonl", "unknown experiment-config keys: ['out_path']"),
         ],
         ids=["num_instances_float", "n_qubits_float", "policy_bool", "max_restarts_float", "removed_solve_key",
-             "eps_string", "m_terms_local_full", "lattice_generic", "level_sweep"],
+             "eps_string", "m_terms_local_full", "lattice_generic", "level_sweep", "removed_out_path"],
     )
     def test_exp_rejects_bad_values(self, tmp_path, exp_config, capsys, key, value, message):
         cfg = json.loads(exp_config.read_text())
@@ -334,8 +336,24 @@ class TestErrors:
 
         monkeypatch.setattr(cli, "run_experiment", run_experiment)
         assert main(["exp", "--config", str(exp_config)]) == EXIT_CONFIG_ERROR
-        assert "no output path" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: no output path: pass --out\n"
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", "line 2 must be a JSON object, got [1, 2]\n"),
+            ('{"abs_fidelity": "x", "converged": true}', "error: row 2: abs_fidelity must be a real number, got 'x'\n"),
+            ('{"abs_fidelity": 0.5}', "error: row 2 has no converged\n"),
+        ],
+        ids=["list", "string_fidelity", "no_converged"],
+    )
+    def test_summarize_refuses_non_row(self, tmp_path, capsys, line, message):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"abs_fidelity": 0.999, "converged": true}\n' + line + "\n")
+        assert main(["summarize", "--in", str(path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("where", ["missing_parent", "directory"])
     def test_exp_unwritable_out_solves_nothing(self, tmp_path, exp_config, capsys, monkeypatch, where):

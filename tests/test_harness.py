@@ -321,7 +321,7 @@ class TestRunExperiment:
 class TestSummarizeAndIo:
     def test_summarize(self):
         rows = run_experiment(small_config())
-        s = summarize(rows)
+        s = summarize([r.to_json() for r in rows])
         assert s["count"] == 3
         assert 0 <= s["mean_abs_fidelity"] <= 1
         assert s["convergence_rate"] == 1.0

@@ -147,6 +147,14 @@ class TestBfgs:
         assert out.stop == "target"
         assert out.grad_norm < 2e-2  # |2x| at the returned x, where x^2 < 1e-4
 
+    def test_runaway_stops_at_norm_cap(self):
+        # f = -x falls forever: the first search accepts its capped step,
+        # a_max = 1e3 * (1 + 0.5) = 1500, and the second step would leave
+        # ITERATE_NORM_CAP, so the run ends on the first one's point
+        out = bfgs_minimize(lambda x: float(-x[0]), lambda x: -np.ones(1), np.array([0.5]), SolveConfig(), f_target=-np.inf)
+        assert (out.stop, out.iterations) == ("norm_cap", 2)
+        assert out.x.tolist() == [1500.5]
+
     def test_returns_best_iterate(self):
         out = bfgs_minimize(
             lambda x: float(np.cos(x[0]) + 0.01 * x[0] ** 2),
