@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import harness, metrics
 from .harness import ExperimentConfig, read_rows, run_experiment, summarize, write_rows
-from .operators import load_basis, load_record, save_basis, save_record
+from .operators import MeasurementRecord, OperatorBasis, read_json
 from .optimizer import SolveConfig, solve_hamiltonian
 
 EXIT_OK = 0
@@ -22,14 +22,14 @@ EXIT_NOT_CONVERGED = 2
 
 def cmd_gen(args) -> int:
     """Write the basis and record of every row `exp` would solve, named by row id."""
-    cfg = ExperimentConfig.from_file(args.config)
+    cfg = ExperimentConfig.from_dict(read_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tasks = harness._row_tasks(cfg)
     for row_id, instance_index, eigen_index in tasks:
         basis, record = harness.draw_instance(cfg, row_id, instance_index, eigen_index)
-        save_basis(basis, out / f"basis_{row_id:04d}.json")
-        save_record(record, out / f"record_{row_id:04d}.json")
+        (out / f"basis_{row_id:04d}.json").write_text(json.dumps(basis.to_json()))
+        (out / f"record_{row_id:04d}.json").write_text(json.dumps(record.to_json()))
     print(f"wrote {len(tasks)} instance(s) to {out}")
     return EXIT_OK
 
@@ -43,9 +43,9 @@ def _check_writable(out) -> None:
 
 
 def cmd_solve(args) -> int:
-    basis = load_basis(args.basis)
-    record = load_record(args.measurements)
-    solve_cfg = ExperimentConfig.from_file(args.config).solve if args.config else SolveConfig()
+    basis = OperatorBasis.from_json(read_json(args.basis))
+    record = MeasurementRecord.from_json(read_json(args.measurements))
+    solve_cfg = ExperimentConfig.from_dict(read_json(args.config)).solve if args.config else SolveConfig()
     if args.seed is not None:
         solve_cfg = replace(solve_cfg, seed=args.seed)
     if args.out:
@@ -63,9 +63,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exp(args) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    if args.out is None:  # not argparse's required=True: its exit 2 is exp's "not converged"
-        raise ValueError("no output path: pass --out")
+    cfg = ExperimentConfig.from_dict(read_json(args.config))
     _check_writable(args.out)
     rows = run_experiment(cfg, threads=args.threads)
     write_rows(rows, args.out, fmt=args.format)
@@ -100,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("exp", help="run a full experiment suite")
     p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--out", default=None, help="rows file; required")
+    p_exp.add_argument("--out", required=True, help="rows file")
     p_exp.add_argument(
         "--threads",
         type=int,
@@ -122,8 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error exits 2, exp's "not converged"
+        return EXIT_CONFIG_ERROR if exc.code else EXIT_OK
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

@@ -12,6 +12,7 @@ from __future__ import annotations
 import collections
 import csv
 import json
+import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,7 @@ from .operators import (
     basis_generic,
     basis_two_local,
     eigenstate_measurements,
+    json_object,
     require_int,
     require_object,
 )
@@ -126,11 +128,6 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing experiment-config keys: {missing}")
         return cls(**obj)
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def _lattice_from_dict(lat) -> LatticeSpec:
@@ -363,8 +360,9 @@ def summarize(rows) -> dict:
         for key in ("abs_fidelity", "converged"):
             if key not in r:
                 raise ValueError(f"row {i} has no {key}")
-        if isinstance(r["abs_fidelity"], bool) or not isinstance(r["abs_fidelity"], numbers.Real):
-            raise ValueError(f"row {i}: abs_fidelity must be a real number, got {r['abs_fidelity']!r}")
+        v = r["abs_fidelity"]
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+            raise ValueError(f"row {i}: abs_fidelity must be a finite real number, got {v!r}")
         if not isinstance(r["converged"], bool):
             raise ValueError(f"row {i}: converged must be true or false, got {r['converged']!r}")
     fid = np.array([r["abs_fidelity"] for r in rows])
@@ -401,11 +399,5 @@ def write_rows(rows, path, fmt: str = "jsonl") -> None:
 
 def read_rows(path) -> list:
     """The row objects of a JSONL file, one a line; blank lines are skipped."""
-    rows = []
     with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            if line.strip():
-                row = json.loads(line)
-                require_object(f"{path} line {n}", row)
-                rows.append(row)
-    return rows
+        return [json_object(line, f"{path} line {n}") for n, line in enumerate(fh, 1) if line.strip()]

@@ -59,8 +59,9 @@ def frechet_exp(x, e, method: str = "divided_difference") -> np.ndarray:
                             X = U diag(w) U^dag: U (Phi * U^dag E U) U^dag.
       augmented_block    -- exponentiate the 2d x 2d block matrix
                             [[X, E], [0, X]]; the derivative is its top-right
-                            block. Kept as an independent cross-check route,
-                            and the only code that loads scipy.
+                            block (scipy's expm_frechet, method blockEnlarge).
+                            Kept as an independent cross-check route, and the
+                            only code that loads scipy.
     """
     x = check_hermitian(x)
     e = as_square(e)
@@ -73,12 +74,7 @@ def frechet_exp(x, e, method: str = "divided_difference") -> np.ndarray:
     if method == "augmented_block":
         import scipy.linalg
 
-        d = x.shape[0]
-        g = np.zeros((2 * d, 2 * d), dtype=complex)
-        g[:d, :d] = x
-        g[:d, d:] = e
-        g[d:, d:] = x
-        return scipy.linalg.expm(g)[:d, d:]
+        return scipy.linalg.expm_frechet(x, e, method="blockEnlarge", compute_expm=False)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -32,6 +32,24 @@ def require_object(name: str, value) -> None:
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
 
 
+def json_object(text: str, where: str) -> dict:
+    """The JSON object text holds; where (a file, or a line of one) names
+    it in the ValueError a syntax error or a non-object raises."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        at = f"column {exc.colno}" if exc.lineno == 1 else f"line {exc.lineno} column {exc.colno}"
+        raise ValueError(f"{where}: {exc.msg} at {at}") from None
+    require_object(where, value)
+    return value
+
+
+def read_json(path) -> dict:
+    """The JSON object of the file at path."""
+    with open(path) as fh:
+        return json_object(fh.read(), str(path))
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Qubit lattice as an edge list; qubits are 1-indexed, edges i < j."""
@@ -114,6 +132,9 @@ class OperatorBasis:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OperatorBasis":
+        for k, t in enumerate(obj["terms"]):
+            require_object(f"basis term {k}", t)
+            require_object(f"basis term {k} matrix", t["matrix"])
         terms = [linalg.matrix_from_json(t["matrix"]) for t in obj["terms"]]
         labels = [t["label"] for t in obj["terms"]]
         supports = [tuple(t["support"]) if t.get("support") else None for t in obj["terms"]]
@@ -153,6 +174,7 @@ class MeasurementRecord:
         truth = None
         if obj.get("truth") is not None:
             t = obj["truth"]
+            require_object("record truth", t)
             truth = Truth(
                 c_true=np.asarray(t["c_true"], dtype=float),
                 eigen_index=int(t["eigen_index"]),
@@ -257,22 +279,3 @@ def eigenstate_measurements(
     truth = Truth(c_true=c.copy(), eigen_index=eigen_index, lambda_true=float(w[eigen_index]))
     return MeasurementRecord(basis_ref=basis_ref, a=a, truth=truth)
 
-
-def save_basis(basis: OperatorBasis, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(basis.to_json(), fh)
-
-
-def load_basis(path) -> OperatorBasis:
-    with open(path) as fh:
-        return OperatorBasis.from_json(json.load(fh))
-
-
-def save_record(record: MeasurementRecord, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(record.to_json(), fh)
-
-
-def load_record(path) -> MeasurementRecord:
-    with open(path) as fh:
-        return MeasurementRecord.from_json(json.load(fh))

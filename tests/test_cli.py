@@ -11,7 +11,7 @@ import pytest
 from hamlearn import cli
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
 from hamlearn.harness import RESULT_FIELDS
-from hamlearn.operators import load_basis, load_record
+from hamlearn.operators import MeasurementRecord, OperatorBasis, read_json
 
 
 @pytest.fixture
@@ -128,7 +128,8 @@ class TestGenSolve:
             )
             payload = json.loads(result_path.read_text())
             assert code == (EXIT_OK if payload["converged"] else EXIT_NOT_CONVERGED)
-            basis, record = load_basis(basis_path), load_record(record_path)
+            basis = OperatorBasis.from_json(read_json(basis_path))
+            record = MeasurementRecord.from_json(read_json(record_path))
             del payload["x_opt"]
             report = payload.pop("report")
             identity = {"n": basis.n_qubits, "m": basis.size, "eigen_index": record.truth.eigen_index, "seed": row["seed"]}
@@ -276,8 +277,8 @@ class TestErrors:
     @pytest.mark.parametrize(
         "config, message",
         [
-            ([1, 2], "error: experiment config must be a JSON object, got [1, 2]\n"),
-            ("generic", "error: experiment config must be a JSON object, got 'generic'\n"),
+            ([1, 2], "error: {path} must be a JSON object, got [1, 2]\n"),
+            ("generic", "error: {path} must be a JSON object, got 'generic'\n"),
             ({"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 2, "solve": 5},
              "error: solve config must be a JSON object, got 5\n"),
             ({"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 2, "solve": []},
@@ -301,7 +302,56 @@ class TestErrors:
         }[command]
         code = main([command, "--config", str(path), *args])
         assert code == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == message
+        assert capsys.readouterr().err == message.format(path=path)
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("basis", "[1, 2]", "error: {path} must be a JSON object, got [1, 2]\n"),
+            ("record", "[1, 2]", "error: {path} must be a JSON object, got [1, 2]\n"),
+            ("basis", '{"dim": 2, "terms": [1]}', "error: basis term 0 must be a JSON object, got 1\n"),
+            ("basis", '{"dim": 2, "terms": [{"label": "A1", "matrix": [1]}]}',
+             "error: basis term 0 matrix must be a JSON object, got [1]\n"),
+            ("record", '{"basis_ref": "b", "a": [0.5], "truth": 3}', "error: record truth must be a JSON object, got 3\n"),
+            ("config", '{"preset": "generic", "n_qubits": 2,',
+             "error: {path}: Expecting property name enclosed in double quotes at column 37\n"),
+        ],
+        ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated"],
+    )
+    def test_solve_rejects_bad_files(self, tmp_path, exp_config, capsys, name, text, message):
+        instances = tmp_path / "instances"
+        main(["gen", "--config", str(exp_config), "--out", str(instances)])
+        capsys.readouterr()
+        files = {
+            "basis": instances / "basis_0000.json",
+            "record": instances / "record_0000.json",
+            "config": exp_config,
+        }
+        files[name].write_text(text)
+        code = main(["solve", "--basis", str(files["basis"]), "--measurements", str(files["record"]),
+                     "--config", str(files["config"])])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == message.format(path=files[name])
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--config", "{cfg}", "--seed", "4", "--out", "{out}"], "error: unrecognized arguments: --seed 4\n"),
+            (["--out", "{out}"], "error: the following arguments are required: --config\n"),
+        ],
+        ids=["removed_seed_flag", "no_config"],
+    )
+    def test_usage_error_exits_1(self, tmp_path, exp_config, capsys, args, message):
+        # exit 2 is exp's "not converged", so a usage error exits 1
+        out = tmp_path / "rows.jsonl"
+        assert main(["exp", *(a.format(cfg=exp_config, out=out) for a in args)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.endswith(message) and err.count("error:") == 1
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["exp", "--help"]) == EXIT_OK
+        assert "--config" in capsys.readouterr().out
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_exp_rejects_threads_below_one(self, tmp_path, exp_config, capsys, threads):
@@ -336,17 +386,20 @@ class TestErrors:
 
         monkeypatch.setattr(cli, "run_experiment", run_experiment)
         assert main(["exp", "--config", str(exp_config)]) == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == "error: no output path: pass --out\n"
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: --out\n") and err.count("error:") == 1
         assert calls == []
 
     @pytest.mark.parametrize(
         "line, message",
         [
             ("[1, 2]", "line 2 must be a JSON object, got [1, 2]\n"),
-            ('{"abs_fidelity": "x", "converged": true}', "error: row 2: abs_fidelity must be a real number, got 'x'\n"),
+            ('{"abs_fidelity": "x", "converged": true}', "error: row 2: abs_fidelity must be a finite real number, got 'x'\n"),
             ('{"abs_fidelity": 0.5}', "error: row 2 has no converged\n"),
+            ('{"abs_fidelity": NaN, "converged": true}', "error: row 2: abs_fidelity must be a finite real number, got nan\n"),
+            ('{"abs_fidelity": 0.9, "converged": tru}', "rows.jsonl line 2: Expecting value at column 36\n"),
         ],
-        ids=["list", "string_fidelity", "no_converged"],
+        ids=["list", "string_fidelity", "no_converged", "nan_fidelity", "bad_json"],
     )
     def test_summarize_refuses_non_row(self, tmp_path, capsys, line, message):
         path = tmp_path / "rows.jsonl"

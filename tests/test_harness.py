@@ -20,7 +20,7 @@ from hamlearn.harness import (
     write_rows,
 )
 from hamlearn.objective import ReconstructionObjective, stack_operands
-from hamlearn.operators import LatticeSpec, basis_generic, eigenstate_measurements
+from hamlearn.operators import LatticeSpec, basis_generic, eigenstate_measurements, read_json
 from hamlearn.optimizer import SolveConfig
 
 
@@ -114,7 +114,7 @@ class TestConfig:
     def test_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 2}))
-        cfg = ExperimentConfig.from_file(path)
+        cfg = ExperimentConfig.from_dict(read_json(path))
         assert cfg.preset == "generic"
 
 

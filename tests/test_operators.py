@@ -1,11 +1,11 @@
 """Unit tests for operator bases, embeddings, and measurement records."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
-from hamlearn import operators
 from hamlearn.operators import (
     DegenerateEigenstateError,
     LatticeSpec,
@@ -16,7 +16,9 @@ from hamlearn.operators import (
     basis_two_local,
     eigenstate_measurements,
     embed_two_local,
+    json_object,
     random_hermitian,
+    read_json,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -221,8 +223,8 @@ class TestSerialization:
         rng = np.random.default_rng(67)
         basis = basis_two_local(LatticeSpec.chain(3), rng)
         path = tmp_path / "basis.json"
-        operators.save_basis(basis, path)
-        back = operators.load_basis(path)
+        path.write_text(json.dumps(basis.to_json()))
+        back = OperatorBasis.from_json(read_json(path))
         assert back.dim == basis.dim
         assert back.labels == basis.labels
         assert back.locality == basis.locality
@@ -235,8 +237,8 @@ class TestSerialization:
         c = rng.uniform(0, 1, 2)
         rec = eigenstate_measurements(basis, c, 1)
         path = tmp_path / "record.json"
-        operators.save_record(rec, path)
-        back = operators.load_record(path)
+        path.write_text(json.dumps(rec.to_json()))
+        back = MeasurementRecord.from_json(read_json(path))
         assert np.array_equal(back.a, rec.a)
         assert back.truth.eigen_index == 1
         assert back.truth.lambda_true == rec.truth.lambda_true
@@ -258,3 +260,17 @@ class TestSerialization:
         rec = MeasurementRecord(basis_ref="b", a=np.array([0.5]))
         back = MeasurementRecord.from_json(rec.to_json())
         assert back.truth is None
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"a": 1,\n "b": }', "f.json: Expecting value at line 2 column 7"),
+            ('{"a": tru}', "f.json: Expecting value at column 7"),
+            ("[1, 2]", "f.json must be a JSON object, got [1, 2]"),
+        ],
+        ids=["second_line", "first_line", "list"],
+    )
+    def test_json_object_names_where(self, text, message):
+        with pytest.raises(ValueError) as info:
+            json_object(text, "f.json")
+        assert str(info.value) == message
