@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import harness, metrics
 from .harness import ExperimentConfig, read_rows, run_experiment, summarize, write_rows
-from .operators import MeasurementRecord, OperatorBasis, read_json
+from .operators import MeasurementRecord, OperatorBasis, read_json, true_eigenstate
 from .optimizer import SolveConfig, solve_hamiltonian
 
 EXIT_OK = 0
@@ -45,6 +45,8 @@ def _check_writable(out) -> None:
 def cmd_solve(args) -> int:
     basis = OperatorBasis.from_json(read_json(args.basis))
     record = MeasurementRecord.from_json(read_json(args.measurements))
+    if record.truth is not None:  # refuse a truth the basis cannot hold before solving
+        true_eigenstate(basis, record.truth.c_true, record.truth.eigen_index)
     solve_cfg = ExperimentConfig.from_dict(read_json(args.config)).solve if args.config else SolveConfig()
     if args.seed is not None:
         solve_cfg = replace(solve_cfg, seed=args.seed)

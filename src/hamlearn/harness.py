@@ -27,14 +27,13 @@ from .operators import (
     GAP_TOL,
     DegenerateEigenstateError,
     LatticeSpec,
-    OperatorBasis,
     assemble,
     basis_generic,
     basis_two_local,
     eigenstate_measurements,
     json_object,
     require_int,
-    require_object,
+    require_json,
 )
 from .optimizer import SolveConfig, solve_hamiltonian, solve_steps
 
@@ -111,7 +110,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        require_object("experiment config", obj)
+        require_json("experiment config", obj)
         obj = dict(obj)
         if obj.get("lattice") is not None:
             obj["lattice"] = _lattice_from_dict(obj["lattice"])
@@ -162,11 +161,6 @@ def _draw_instance(cfg: ExperimentConfig, rng: np.random.Generator):
     return basis, c_true
 
 
-def _all_levels_separated(basis: OperatorBasis, c_true: np.ndarray) -> bool:
-    w = np.linalg.eigvalsh(assemble(basis, c_true))
-    return bool(np.all(np.diff(w) > GAP_TOL))
-
-
 def _row_tasks(cfg: ExperimentConfig) -> list:
     """(row_id, instance_index, eigen_index-or-None) for the whole suite.
 
@@ -190,7 +184,7 @@ def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen
     basis_ref = f"basis_{row_id:04d}"
     for _ in range(MAX_REDRAWS):
         basis, c_true = _draw_instance(cfg, rng)
-        if sweep and not _all_levels_separated(basis, c_true):
+        if sweep and not np.all(np.diff(np.linalg.eigvalsh(assemble(basis, c_true))) > GAP_TOL):
             continue  # a sweep needs every level non-degenerate; redraw the Hamiltonian
         if eigen_index is None:
             levels = (int(rng.integers(basis.dim)) for _ in range(MAX_REDRAWS))

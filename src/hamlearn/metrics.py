@@ -10,7 +10,7 @@ import numpy as np
 
 from . import linalg
 from .objective import ReconstructionObjective
-from .operators import GAP_TOL, MeasurementRecord, OperatorBasis, assemble
+from .operators import GAP_TOL, MeasurementRecord, OperatorBasis, assemble, true_eigenstate
 from .optimizer import SolveResult
 
 
@@ -84,8 +84,7 @@ def report(basis: OperatorBasis, solve_result: SolveResult, record: MeasurementR
     fid = hamiltonian_fidelity(h_al, h_rd)
     lam_hat = recover_eigenvalue(solve_result.x_opt, record.a)
     psi_hat = recover_eigenstate(basis, solve_result.x_opt, record.a)
-    _, u = np.linalg.eigh(h_rd)
-    psi_true = u[:, truth.eigen_index]
+    _, psi_true = true_eigenstate(basis, truth.c_true, truth.eigen_index)
     overlap = float(abs(psi_hat.conj() @ psi_true) ** 2)
     return ReconstructionReport(
         fidelity=fid,

@@ -26,10 +26,11 @@ def require_int(name: str, value, minimum: Optional[int] = None) -> None:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
-def require_object(name: str, value) -> None:
-    """Raise ValueError unless value is a dict, as a parsed JSON object is."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+def require_json(name: str, value, kind: type = dict) -> None:
+    """Raise ValueError unless value is of kind: dict (a parsed JSON object), list, str or numbers.Real (no bool)."""
+    if not isinstance(value, kind) or (kind is numbers.Real and isinstance(value, bool)):
+        what = {dict: "a JSON object", list: "a list", str: "a string", numbers.Real: "a number"}[kind]
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def json_object(text: str, where: str) -> dict:
@@ -40,7 +41,7 @@ def json_object(text: str, where: str) -> dict:
     except json.JSONDecodeError as exc:
         at = f"column {exc.colno}" if exc.lineno == 1 else f"line {exc.lineno} column {exc.colno}"
         raise ValueError(f"{where}: {exc.msg} at {at}") from None
-    require_object(where, value)
+    require_json(where, value)
     return value
 
 
@@ -132,14 +133,21 @@ class OperatorBasis:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OperatorBasis":
+        require_int("basis dim", obj.get("dim"), 1)
+        require_json("basis terms", obj.get("terms"), list)
         for k, t in enumerate(obj["terms"]):
-            require_object(f"basis term {k}", t)
-            require_object(f"basis term {k} matrix", t["matrix"])
+            require_json(f"basis term {k}", t)
+            require_json(f"basis term {k} label", t.get("label"), str)
+            require_json(f"basis term {k} support", t.get("support") or [], list)
+            require_json(f"basis term {k} matrix", t.get("matrix"))
+            require_int(f"basis term {k} matrix dim", t["matrix"].get("dim"))
+            for part in ("re", "im"):
+                require_json(f"basis term {k} matrix {part}", t["matrix"].get(part), list)
         terms = [linalg.matrix_from_json(t["matrix"]) for t in obj["terms"]]
         labels = [t["label"] for t in obj["terms"]]
         supports = [tuple(t["support"]) if t.get("support") else None for t in obj["terms"]]
         locality = supports if any(s is not None for s in supports) else None
-        return cls(dim=int(obj["dim"]), terms=terms, labels=labels, locality=locality)
+        return cls(dim=obj["dim"], terms=terms, labels=labels, locality=locality)
 
 
 @dataclass
@@ -171,15 +179,15 @@ class MeasurementRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MeasurementRecord":
-        truth = None
-        if obj.get("truth") is not None:
-            t = obj["truth"]
-            require_object("record truth", t)
-            truth = Truth(
-                c_true=np.asarray(t["c_true"], dtype=float),
-                eigen_index=int(t["eigen_index"]),
-                lambda_true=float(t["lambda_true"]),
-            )
+        """The record of obj; its truth's eigen_index is checked against a basis by true_eigenstate."""
+        require_json("record basis_ref", obj.get("basis_ref"), str)
+        require_json("record a", obj.get("a"), list)
+        truth = obj.get("truth")
+        if truth is not None:
+            require_json("record truth", truth)
+            require_json("record truth c_true", truth.get("c_true"), list)
+            require_json("record truth lambda_true", truth.get("lambda_true"), numbers.Real)
+            truth = Truth(np.asarray(truth["c_true"], float), truth.get("eigen_index"), float(truth["lambda_true"]))
         return cls(basis_ref=obj["basis_ref"], a=np.asarray(obj["a"], dtype=float), truth=truth)
 
 
@@ -245,37 +253,31 @@ def assemble(basis: OperatorBasis, c: Sequence[float]) -> np.ndarray:
     return h
 
 
-def eigenstate_measurements(
-    basis: OperatorBasis,
-    c: Sequence[float],
-    eigen_index: int,
-    basis_ref: str = "basis",
-) -> MeasurementRecord:
-    """Measure every basis term on the eigen_index-th eigenstate of H(c).
+def true_eigenstate(basis: OperatorBasis, c: Sequence[float], eigen_index) -> tuple:
+    """(w, psi): the ascending spectrum of H(c) and its eigen_index-th eigenvector.
 
-    Eigenstates are ordered by ascending eigenvalue. A (near-)degenerate
-    level is rejected: the reconstruction target is not unique there.
+    eigen_index must be an integer in [0, basis.dim), and its level must be
+    separated from both neighbours by more than GAP_TOL: the reconstruction
+    target is not unique in a (near-)degenerate level.
     """
+    require_int("eigen_index", eigen_index)
+    if not 0 <= eigen_index < basis.dim:
+        raise ValueError(f"eigen_index {eigen_index} out of range for dimension {basis.dim}")
+    w, u = np.linalg.eigh(assemble(basis, c))
+    gaps = np.diff(w)[max(eigen_index - 1, 0) : eigen_index + 1]
+    if np.any(gaps <= GAP_TOL):
+        raise DegenerateEigenstateError(f"eigenvalue {eigen_index} is degenerate (gap {gaps.min():.3e} to a neighbour)")
+    return w, u[:, eigen_index]
+
+
+def eigenstate_measurements(
+    basis: OperatorBasis, c: Sequence[float], eigen_index: int, basis_ref: str = "basis"
+) -> MeasurementRecord:
+    """Measure every basis term on the eigen_index-th eigenstate of H(c) (see true_eigenstate)."""
     c = np.asarray(c, dtype=float)
-    h = assemble(basis, c)
-    w, u = np.linalg.eigh(h)
-    d = basis.dim
-    if not (0 <= eigen_index < d):
-        raise ValueError(f"eigen_index {eigen_index} out of range for dimension {d}")
-    if eigen_index > 0 and w[eigen_index] - w[eigen_index - 1] <= GAP_TOL:
-        raise DegenerateEigenstateError(
-            f"eigenvalue {eigen_index} degenerate with {eigen_index - 1} "
-            f"(gap {w[eigen_index] - w[eigen_index - 1]:.3e})"
-        )
-    if eigen_index < d - 1 and w[eigen_index + 1] - w[eigen_index] <= GAP_TOL:
-        raise DegenerateEigenstateError(
-            f"eigenvalue {eigen_index} degenerate with {eigen_index + 1} "
-            f"(gap {w[eigen_index + 1] - w[eigen_index]:.3e})"
-        )
-    psi = u[:, eigen_index]
+    w, psi = true_eigenstate(basis, c, eigen_index)
     values = np.array([psi.conj() @ (term @ psi) for term in basis.terms])
     # an expectation's round-off grows with its term's norm
     a = np.ascontiguousarray(linalg._real_rows(values, lambda k: np.linalg.norm(basis.terms, axis=(1, 2))))
     truth = Truth(c_true=c.copy(), eigen_index=eigen_index, lambda_true=float(w[eigen_index]))
     return MeasurementRecord(basis_ref=basis_ref, a=a, truth=truth)
-

@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .objective import ReconstructionObjective, first_positive_gap
-from .operators import OperatorBasis, require_int, require_object
+from .operators import OperatorBasis, require_int, require_json
 
 # Fixed solver settings, read at call time. Only the acceptance threshold,
 # the budgets and the seed are configurable (SolveConfig).
@@ -45,7 +45,7 @@ class SolveConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SolveConfig":
-        require_object("solve config", obj)
+        require_json("solve config", obj)
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(obj) - known
         if unknown:

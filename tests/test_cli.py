@@ -33,6 +33,14 @@ def exp_config(tmp_path):
 
 NO_SOLVE_KEY = object()
 
+# a basis term as `gen` writes it, and a record for exp_config's d = 4, two-term basis
+TERM = {"label": "A1", "support": None, "matrix": {"dim": 2, "re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]}}
+
+
+def record_with(**truth) -> dict:
+    truth = {"c_true": [0.5, 0.5], "eigen_index": 0, "lambda_true": 0.0, **truth}
+    return {"basis_ref": "basis_0000", "a": [0.5, 0.5], "truth": truth}
+
 
 class TestGenSolve:
     def test_round_trip(self, tmp_path, exp_config, capsys):
@@ -315,19 +323,46 @@ class TestErrors:
             ("record", '{"basis_ref": "b", "a": [0.5], "truth": 3}', "error: record truth must be a JSON object, got 3\n"),
             ("config", '{"preset": "generic", "n_qubits": 2,',
              "error: {path}: Expecting property name enclosed in double quotes at column 37\n"),
+            # each field from_json reads is checked for its type and named
+            ("basis", {"dim": 2, "terms": 5}, "error: basis terms must be a list, got 5\n"),
+            ("basis", {"dim": None, "terms": [TERM]}, "error: basis dim must be an integer, got None\n"),
+            ("basis", {"terms": [TERM]}, "error: basis dim must be an integer, got None\n"),
+            ("basis", {"dim": 2, "terms": [{**TERM, "support": 5}]},
+             "error: basis term 0 support must be a list, got 5\n"),
+            ("basis", {"dim": 2, "terms": [{"matrix": TERM["matrix"]}]},
+             "error: basis term 0 label must be a string, got None\n"),
+            ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "dim": None}}]},
+             "error: basis term 0 matrix dim must be an integer, got None\n"),
+            ("record", record_with(lambda_true=None), "error: record truth lambda_true must be a number, got None\n"),
+            # a truth the basis (d = 4, two terms) cannot hold is refused before the solve
+            ("record", record_with(c_true=[0.5]), "error: coefficient vector length (1,) != basis size 2\n"),
+            ("record", record_with(eigen_index=7), "error: eigen_index 7 out of range for dimension 4\n"),
+            ("record", record_with(eigen_index=-1), "error: eigen_index -1 out of range for dimension 4\n"),
+            ("record", record_with(eigen_index=1.5), "error: eigen_index must be an integer, got 1.5\n"),
+            ("record", record_with(eigen_index=None), "error: eigen_index must be an integer, got None\n"),
+            ("record", record_with(c_true=[0.0, 0.0]),
+             "error: eigenvalue 0 is degenerate (gap 0.000e+00 to a neighbour)\n"),
         ],
-        ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated"],
+        ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated",
+             "terms_number", "dim_null", "dim_missing", "support_number", "label_missing", "matrix_dim_null",
+             "lambda_true_null", "c_true_short", "level_7", "level_negative", "level_float", "level_null",
+             "level_degenerate"],
     )
-    def test_solve_rejects_bad_files(self, tmp_path, exp_config, capsys, name, text, message):
+    def test_solve_rejects_bad_files(self, tmp_path, exp_config, capsys, monkeypatch, name, text, message):
         instances = tmp_path / "instances"
         main(["gen", "--config", str(exp_config), "--out", str(instances)])
         capsys.readouterr()
+
+        def solve_hamiltonian(*args, **kwargs):
+            raise AssertionError("solved an instance it should have refused")
+
+        monkeypatch.setattr(cli, "solve_hamiltonian", solve_hamiltonian)
         files = {
             "basis": instances / "basis_0000.json",
             "record": instances / "record_0000.json",
             "config": exp_config,
         }
-        files[name].write_text(text)
+        files[name].write_text(text if isinstance(text, str) else json.dumps(text))
         code = main(["solve", "--basis", str(files["basis"]), "--measurements", str(files["record"]),
                      "--config", str(files["config"])])
         assert code == EXIT_CONFIG_ERROR

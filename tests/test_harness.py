@@ -20,7 +20,7 @@ from hamlearn.harness import (
     write_rows,
 )
 from hamlearn.objective import ReconstructionObjective, stack_operands
-from hamlearn.operators import LatticeSpec, basis_generic, eigenstate_measurements, read_json
+from hamlearn.operators import LatticeSpec, OperatorBasis, basis_generic, eigenstate_measurements, read_json
 from hamlearn.optimizer import SolveConfig
 
 
@@ -28,6 +28,12 @@ def small_config(**overrides):
     base = dict(preset="generic", n_qubits=2, num_instances=3, seed=7, m_terms=2)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# two-term bases of d = 4: every level of DEGENERATE is degenerate, levels 0
+# and 1 of PARTIAL are, and with positive coefficients levels 2 and 3 are not
+DEGENERATE = OperatorBasis(dim=4, terms=[np.eye(4), np.eye(4)], labels=["I1", "I2"])
+PARTIAL = OperatorBasis(dim=4, terms=[np.diag([0.0, 0.0, 1.0, 2.0]), np.eye(4)], labels=["D", "I"])
 
 
 def without_wall(row) -> dict:
@@ -150,6 +156,57 @@ class TestRowTasks:
         # each instance is swept in turn, row ids counting on across them
         tasks = _row_tasks(small_config(num_instances=2, eigen_index_policy="all"))
         assert tasks == [(r, r // 4, r % 4) for r in range(8)]
+
+
+class TestDrawInstance:
+    @pytest.mark.parametrize(
+        "policy, level, first",
+        [("random", None, DEGENERATE), (1, 1, DEGENERATE), ("all", 2, PARTIAL)],
+        ids=["random_level", "fixed_level", "level_sweep"],
+    )
+    def test_degenerate_draw_is_redrawn(self, monkeypatch, policy, level, first):
+        # a sweep redraws a Hamiltonian with any degenerate level, even where its own level is not
+        draws = []
+        draw = harness._draw_instance
+
+        def degenerate_first(cfg, rng):
+            basis, c_true = draw(cfg, rng)
+            draws.append((basis, c_true))
+            return (first, c_true) if len(draws) == 1 else (basis, c_true)
+
+        monkeypatch.setattr(harness, "_draw_instance", degenerate_first)
+        basis, record = harness.draw_instance(small_config(eigen_index_policy=policy), 0, 0, level)
+        assert len(draws) == 2
+        assert basis is draws[1][0]
+        assert np.array_equal(record.truth.c_true, draws[1][1])
+        if level is not None:
+            assert record.truth.eigen_index == level
+
+    def test_degenerate_level_is_redrawn(self, monkeypatch):
+        # a random level that is degenerate is drawn again on the same Hamiltonian
+        draw = harness._draw_instance
+        monkeypatch.setattr(harness, "_draw_instance", lambda cfg, rng: (PARTIAL, draw(cfg, rng)[1]))
+        measure = harness.eigenstate_measurements
+        tried = []
+        monkeypatch.setattr(
+            harness, "eigenstate_measurements", lambda basis, c, k, **kw: tried.append(k) or measure(basis, c, k, **kw)
+        )
+        attempts = []
+        for row_id in range(8):
+            tried.clear()
+            basis, record = harness.draw_instance(small_config(), row_id, row_id, None)
+            assert basis is PARTIAL
+            assert record.truth.eigen_index == tried[-1] and tried[-1] in (2, 3)
+            assert all(k in (0, 1) for k in tried[:-1])
+            attempts.append(len(tried))
+        assert max(attempts) > 1
+
+    def test_gives_up_after_max_redraws(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(harness, "_draw_instance", lambda cfg, rng: draws.append(rng) or (DEGENERATE, np.ones(2)))
+        with pytest.raises(RuntimeError, match=r"^could not draw a non-degenerate instance after 10 attempts$"):
+            harness.draw_instance(small_config(), 0, 0, None)
+        assert len(draws) == harness.MAX_REDRAWS
 
 
 class TestRunExperiment:

@@ -140,6 +140,16 @@ class TestReport:
         with pytest.raises(ValueError):
             report(basis, result, rec)
 
+    def test_refuses_truth_level_outside_basis(self):
+        # level -1 would index the top eigenvector
+        rng = np.random.default_rng(419)
+        basis = basis_generic(4, 2, rng)
+        rec = eigenstate_measurements(basis, rng.uniform(0, 1, 2), 3)
+        result = solve_hamiltonian(basis, rec.a, SolveConfig(seed=3))
+        rec.truth.eigen_index = -1
+        with pytest.raises(ValueError, match=r"^eigen_index -1 out of range for dimension 4$"):
+            report(basis, result, rec)
+
 
 def _correlation_matrix(basis, psi):
     """C_ij = Re<psi|A_i A_j|psi> - <A_i><A_j> on the state psi."""

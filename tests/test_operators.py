@@ -19,6 +19,7 @@ from hamlearn.operators import (
     json_object,
     random_hermitian,
     read_json,
+    true_eigenstate,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -207,15 +208,42 @@ class TestMeasurements:
         assert rec.truth.eigen_index == 2
         assert np.array_equal(rec.truth.c_true, c)
 
-    def test_degenerate_rejected(self):
-        basis = OperatorBasis(dim=2, terms=[np.eye(2)], labels=["I"])
+    @pytest.mark.parametrize(
+        "spectrum, level",
+        [([0.0, 0.0, 1.0], 0), ([0.0, 0.0, 1.0], 1), ([0.0, 1.0, 1.0], 2), ([0.0, 1.0, 1.0 + 1e-9], 1)],
+        ids=["upper_neighbour", "lower_neighbour", "lower_neighbour_at_top", "near_upper_neighbour"],
+    )
+    def test_degenerate_rejected(self, spectrum, level):
+        basis = OperatorBasis(dim=3, terms=[np.diag(spectrum)], labels=["D"])
         with pytest.raises(DegenerateEigenstateError):
-            eigenstate_measurements(basis, [1.0], 0)
+            eigenstate_measurements(basis, [1.0], level)
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_separated_level_beside_degenerate_one(self, level):
+        # level 2 of (0, 0, 1) and level 0 of (0, 1, 1) have their one neighbour 1 away
+        spectrum = [0.0, 0.0, 1.0] if level == 2 else [0.0, 1.0, 1.0]
+        basis = OperatorBasis(dim=3, terms=[np.diag(spectrum)], labels=["D"])
+        w, psi = true_eigenstate(basis, [1.0], level)
+        assert np.array_equal(w, spectrum)
+        assert abs(psi[level]) == 1.0
 
     def test_index_out_of_range(self):
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
-        with pytest.raises(ValueError):
-            eigenstate_measurements(basis, [1.0], 2)
+        for level, message in [
+            (2, "eigen_index 2 out of range for dimension 2"),
+            (-1, "eigen_index -1 out of range for dimension 2"),
+            (1.0, "eigen_index must be an integer, got 1.0"),
+            (None, "eigen_index must be an integer, got None"),
+        ]:
+            for call in (true_eigenstate, eigenstate_measurements):
+                with pytest.raises(ValueError) as info:
+                    call(basis, [1.0], level)
+                assert str(info.value) == message
+
+    def test_numpy_integer_index(self):
+        basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
+        _, psi = true_eigenstate(basis, [1.0], np.int64(1))
+        assert np.array_equal(abs(psi), [1.0, 0.0])
 
 
 class TestSerialization:
