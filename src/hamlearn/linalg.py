@@ -37,15 +37,15 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _divided_difference_table(w: np.ndarray) -> np.ndarray:
-    """Phi[k,l] = (e^{w_k} - e^{w_l}) / (w_k - w_l), and e^{w_k} where w_k = w_l.
+def _divided_difference_table(w: np.ndarray, ew: np.ndarray) -> np.ndarray:
+    """Phi[k,l] = (ew_k - ew_l) / (w_k - w_l), and ew_k where w_k = w_l, for
+    ew = c e^w with any c > 0 (the caller's exponentials, often normalised).
 
-    Evaluated as e^{hi} expm1(lo - hi) / (lo - hi) with hi, lo the larger and
-    smaller of w_k, w_l: accurate to round-off at every gap, exactly
+    Evaluated as c e^{hi} expm1(lo - hi) / (lo - hi) with hi, lo the larger
+    and smaller of w_k, w_l: accurate to round-off at every gap, exactly
     symmetric, and expm1 of a non-positive argument cannot overflow. Leading
     axes of w are batch axes: one table per spectrum along the last axis.
     """
-    ew = np.exp(w)
     dw = -np.abs(w[..., :, None] - w[..., None, :])
     ratio = np.divide(np.expm1(dw), dw, out=np.ones_like(dw), where=dw != 0)
     return np.maximum(ew[..., :, None], ew[..., None, :]) * ratio
@@ -70,7 +70,7 @@ def frechet_exp(x, e, method: str = "divided_difference") -> np.ndarray:
     if method == "divided_difference":
         w, u = np.linalg.eigh(x)
         uh = u.conj().T
-        return u @ (_divided_difference_table(w) * (uh @ e @ u)) @ uh
+        return u @ (_divided_difference_table(w, np.exp(w)) * (uh @ e @ u)) @ uh
     if method == "augmented_block":
         import scipy.linalg
 

@@ -56,10 +56,11 @@ def _forward(ops: tuple, x: np.ndarray) -> dict:
     """Forward pass at x, (m,) or (K, m); ops = (b_flat, a_flat, a, b_norms).
 
     Returns the nodes of f that the gradient and the diagnostics read: v2 =
-    Hs, the eigenpairs lam, u (uh = u^dag) of v3 = Hs^2, the shift mu =
-    lam[0], wexp = exp(-(lam - mu)) and its sum v5s (so exp(-v3) = e^{-mu}
-    U diag(wexp) U^dag and tr exp(-v3) = e^{-mu} v5s), v6 = rho, the
-    residuals v7, v8 = sum of their squares, v9 = tr(v3 rho) and f = v8 + v9.
+    Hs, the eigenpairs lam, u (uh = u^dag) of v3 = Hs^2, the shifted
+    spectrum w = lam[0] - lam <= 0 and rho's eigenvalues p = e^w / sum e^w
+    (the shift cancels in p and keeps e^w from overflowing), v6 = rho =
+    U diag(p) U^dag, the residuals v7, v8 = sum of their squares,
+    v9 = tr(v3 rho) and f = v8 + v9.
     """
     b_flat, a_flat, a, _ = ops
     rows = x.shape[:-1]
@@ -69,25 +70,24 @@ def _forward(ops: tuple, x: np.ndarray) -> dict:
     v3 = v2 @ v2
     lam, u = np.linalg.eigh(v3)
     uh = u.conj().swapaxes(-1, -2)
-    mu = lam[..., :1]
-    wexp = np.exp(-(lam - mu))  # spectral shift: e^{-v3} = e^{-mu} U diag(wexp) U^dag
-    v5s = wexp.sum(axis=-1, keepdims=True)
-    v6 = ((u * wexp[..., None, :]) @ uh) / v5s[..., None]
+    w = lam[..., :1] - lam
+    p = np.exp(w)
+    p /= p.sum(axis=-1, keepdims=True)
+    v6 = (u * p[..., None, :]) @ uh
     v6 = (v6 + v6.conj().swapaxes(-1, -2)) / 2
     # tr(A_j v6) for every j: one product with v6^T raveled
     v7 = linalg._real_rows((a_flat @ v6.swapaxes(-1, -2).reshape(rows + (dd, 1)))[..., 0]) - a
     v8 = _dot(v7, v7)
     # tr(v3 v6) in the shared eigenbasis; v3 is PSD, so clip the tiny
     # negative eigh round-off (visible at ||x|| ~ 1e2+) to keep f >= 0
-    v9 = (np.maximum(lam, 0.0) * wexp).sum(axis=-1) / v5s[..., 0]
+    v9 = (np.maximum(lam, 0.0) * p).sum(axis=-1)
     return {
         "v2": v2,
         "lam": lam,
         "u": u,
         "uh": uh,
-        "mu": mu,
-        "wexp": wexp,
-        "v5s": v5s,
+        "w": w,
+        "p": p,
         "v6": v6,
         "v7": v7,
         "v8": v8,
@@ -103,29 +103,29 @@ def _gradient(ops: tuple, fwd: dict) -> np.ndarray:
     tr(G D), where, in the eigenbasis U of v3 (primes),
 
         W = sum_j 2 r_j A_j + v3,   W~ = W - tr(W rho) I,
-        G' = (diag(wexp) - Phi * W~') / v5s,
+        G' = diag(p) - Phi * W~',
 
     Phi being the divided-difference table of exp at the shifted spectrum
-    -(lam - mu); the Frechet derivative of exp at a Hermitian matrix is
-    self-adjoint under the trace inner product, which moves it onto W~.
-    Coefficient k changes v3 by B_k Hs + Hs B_k, so
-    grad_k = tr(B_k S) with S = Hs G + G Hs and G = U G' U^dag. The
-    spectral shift mu cancels in rho and every downstream node, so
-    holding it fixed gives the exact derivative.
+    w, divided by sum e^w (the table built on w and p); the Frechet
+    derivative of exp at a Hermitian matrix is self-adjoint under the trace
+    inner product, which moves it onto W~. Coefficient k changes v3 by
+    B_k Hs + Hs B_k, so grad_k = tr(B_k S) with S = Hs G + G Hs and
+    G = U G' U^dag. The shift lam[0] cancels in rho and every downstream
+    node, so holding it fixed gives the exact derivative.
     """
     b_flat, _, _, b_norms = ops
-    lam, u, uh, wexp, v5s = fwd["lam"], fwd["u"], fwd["uh"], fwd["wexp"], fwd["v5s"]
+    lam, u, uh, p = fwd["lam"], fwd["u"], fwd["uh"], fwd["p"]
     rows, d = lam.shape[:-1], lam.shape[-1]
-    phi = linalg._divided_difference_table(-(lam - fwd["mu"]))
+    phi = linalg._divided_difference_table(fwd["w"], p)
     # sum_j 2 r_j B_j differs from sum_j 2 r_j A_j by a multiple of I,
     # which the centring on tr(W rho) removes
     w_rep = uh @ ((2.0 * fwd["v7"])[..., None, :] @ b_flat).reshape(rows + (d, d)) @ u
     w_diag = w_rep.reshape(rows + (-1,))[..., :: d + 1]  # strided views of the diagonals
     w_real = w_diag.real + lam
-    w_diag[...] = w_real - _dot(w_real, wexp)[..., None] / v5s
+    w_diag[...] = w_real - _dot(w_real, p)[..., None]
     g_rep = -phi * w_rep
-    g_rep.reshape(rows + (-1,))[..., :: d + 1] += wexp
-    hg = fwd["v2"] @ (u @ (g_rep / v5s[..., None]) @ uh)
+    g_rep.reshape(rows + (-1,))[..., :: d + 1] += p
+    hg = fwd["v2"] @ (u @ g_rep @ uh)
     s = hg + hg.conj().swapaxes(-1, -2)
     traces = (b_flat @ s.swapaxes(-1, -2).reshape(rows + (d * d, 1)))[..., 0]
     m = traces.shape[-1]
@@ -212,12 +212,8 @@ class ReconstructionObjective:
         return _gradient(self._ops, self._forward(x))
 
     def diagnostics(self, x) -> Diagnostics:
-        """Spectrum of Hs^2 and the ground-level Boltzmann weight.
-
-        ground_prob = e^{-E_g} / tr e^{-Hs^2}, computed in the shifted form
-        1 / sum_i e^{-(E_i - E_g)} which is identical by cancellation.
-        """
-        lam = self._forward(x)["lam"]
-        spectrum = np.maximum(lam, 0.0)  # Hs^2 is PSD; clip eigh round-off
-        ground_prob = float(1.0 / np.sum(np.exp(-(lam - lam[0]))))
-        return Diagnostics(spectrum=spectrum, ground_prob=ground_prob)
+        """Spectrum of Hs^2 and the ground-level Boltzmann weight
+        e^{-E_g} / tr e^{-Hs^2}, rho's eigenvalue p[0]."""
+        fwd = self._forward(x)
+        spectrum = np.maximum(fwd["lam"], 0.0)  # Hs^2 is PSD; clip eigh round-off
+        return Diagnostics(spectrum=spectrum, ground_prob=float(fwd["p"][0]))

@@ -156,7 +156,6 @@ class Truth:
 
     c_true: np.ndarray
     eigen_index: int
-    lambda_true: float
 
 
 @dataclass
@@ -170,11 +169,7 @@ class MeasurementRecord:
     def to_json(self) -> dict:
         truth = None
         if self.truth is not None:
-            truth = {
-                "c_true": np.asarray(self.truth.c_true).tolist(),
-                "eigen_index": self.truth.eigen_index,
-                "lambda_true": self.truth.lambda_true,
-            }
+            truth = {"c_true": np.asarray(self.truth.c_true).tolist(), "eigen_index": self.truth.eigen_index}
         return {"basis_ref": self.basis_ref, "a": np.asarray(self.a).tolist(), "truth": truth}
 
     @classmethod
@@ -186,8 +181,7 @@ class MeasurementRecord:
         if truth is not None:
             require_json("record truth", truth)
             require_json("record truth c_true", truth.get("c_true"), list)
-            require_json("record truth lambda_true", truth.get("lambda_true"), numbers.Real)
-            truth = Truth(np.asarray(truth["c_true"], float), truth.get("eigen_index"), float(truth["lambda_true"]))
+            truth = Truth(np.asarray(truth["c_true"], float), truth.get("eigen_index"))
         return cls(basis_ref=obj["basis_ref"], a=np.asarray(obj["a"], dtype=float), truth=truth)
 
 
@@ -243,10 +237,12 @@ def basis_two_local(lattice: LatticeSpec, rng: np.random.Generator) -> OperatorB
 
 
 def assemble(basis: OperatorBasis, c: Sequence[float]) -> np.ndarray:
-    """H = sum_i c_i A_i."""
+    """H = sum_i c_i A_i, for a finite c with one entry per term."""
     c = np.asarray(c, dtype=float)
     if c.shape != (basis.size,):
         raise ValueError(f"coefficient vector length {c.shape} != basis size {basis.size}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"coefficient vector {c.tolist()} is not finite")
     h = np.zeros((basis.dim, basis.dim), dtype=complex)
     for ci, ai in zip(c, basis.terms):
         h += ci * ai
@@ -256,14 +252,19 @@ def assemble(basis: OperatorBasis, c: Sequence[float]) -> np.ndarray:
 def true_eigenstate(basis: OperatorBasis, c: Sequence[float], eigen_index) -> tuple:
     """(w, psi): the ascending spectrum of H(c) and its eigen_index-th eigenvector.
 
-    eigen_index must be an integer in [0, basis.dim), and its level must be
-    separated from both neighbours by more than GAP_TOL: the reconstruction
-    target is not unique in a (near-)degenerate level.
+    c (a truth's c_true) must pass assemble. eigen_index must be an integer
+    in [0, basis.dim), and its level must be separated from both neighbours
+    by more than GAP_TOL: the reconstruction target is not unique in a
+    (near-)degenerate level.
     """
     require_int("eigen_index", eigen_index)
     if not 0 <= eigen_index < basis.dim:
         raise ValueError(f"eigen_index {eigen_index} out of range for dimension {basis.dim}")
-    w, u = np.linalg.eigh(assemble(basis, c))
+    try:
+        h = assemble(basis, c)
+    except ValueError as exc:
+        raise ValueError(f"c_true: {exc}") from None
+    w, u = np.linalg.eigh(h)
     gaps = np.diff(w)[max(eigen_index - 1, 0) : eigen_index + 1]
     if np.any(gaps <= GAP_TOL):
         raise DegenerateEigenstateError(f"eigenvalue {eigen_index} is degenerate (gap {gaps.min():.3e} to a neighbour)")
@@ -275,9 +276,9 @@ def eigenstate_measurements(
 ) -> MeasurementRecord:
     """Measure every basis term on the eigen_index-th eigenstate of H(c) (see true_eigenstate)."""
     c = np.asarray(c, dtype=float)
-    w, psi = true_eigenstate(basis, c, eigen_index)
+    _, psi = true_eigenstate(basis, c, eigen_index)
     values = np.array([psi.conj() @ (term @ psi) for term in basis.terms])
     # an expectation's round-off grows with its term's norm
     a = np.ascontiguousarray(linalg._real_rows(values, lambda k: np.linalg.norm(basis.terms, axis=(1, 2))))
-    truth = Truth(c_true=c.copy(), eigen_index=eigen_index, lambda_true=float(w[eigen_index]))
+    truth = Truth(c_true=c.copy(), eigen_index=eigen_index)
     return MeasurementRecord(basis_ref=basis_ref, a=a, truth=truth)

@@ -38,7 +38,7 @@ TERM = {"label": "A1", "support": None, "matrix": {"dim": 2, "re": [[1, 0], [0, 
 
 
 def record_with(**truth) -> dict:
-    truth = {"c_true": [0.5, 0.5], "eigen_index": 0, "lambda_true": 0.0, **truth}
+    truth = {"c_true": [0.5, 0.5], "eigen_index": 0, **truth}
     return {"basis_ref": "basis_0000", "a": [0.5, 0.5], "truth": truth}
 
 
@@ -96,6 +96,24 @@ class TestGenSolve:
         payload = json.loads(result_path.read_text())
         assert set(payload) - {"x_opt", "report"} <= set(RESULT_FIELDS)
         assert set(payload["report"]) <= set(RESULT_FIELDS)
+
+    @pytest.mark.parametrize("lambda_true", [None, 123.0], ids=["null", "wrong"])
+    def test_solve_ignores_lambda_true(self, tmp_path, exp_config, capsys, lambda_true):
+        # records of earlier versions carry a truth "lambda_true", an
+        # eigenvalue derived from c_true; it is ignored, whatever it holds
+        out_dir = tmp_path / "instances"
+        main(["gen", "--config", str(exp_config), "--out", str(out_dir)])
+        old = read_json(out_dir / "record_0000.json")
+        old["truth"]["lambda_true"] = lambda_true
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        capsys.readouterr()
+        payloads = []
+        for record in (out_dir / "record_0000.json", tmp_path / "old.json"):
+            code = main(["solve", "--basis", str(out_dir / "basis_0000.json"), "--measurements", str(record),
+                         "--seed", "0"])
+            assert code == EXIT_OK
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[1] == payloads[0]
 
     @pytest.mark.parametrize(
         "policy, num_instances, solve",
@@ -333,9 +351,10 @@ class TestErrors:
              "error: basis term 0 label must be a string, got None\n"),
             ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "dim": None}}]},
              "error: basis term 0 matrix dim must be an integer, got None\n"),
-            ("record", record_with(lambda_true=None), "error: record truth lambda_true must be a number, got None\n"),
             # a truth the basis (d = 4, two terms) cannot hold is refused before the solve
-            ("record", record_with(c_true=[0.5]), "error: coefficient vector length (1,) != basis size 2\n"),
+            ("record", record_with(c_true=[0.5]), "error: c_true: coefficient vector length (1,) != basis size 2\n"),
+            ("record", record_with(c_true=[float("nan"), 0.5]), "error: c_true: coefficient vector [nan, 0.5] is not finite\n"),
+            ("record", record_with(c_true=[float("inf"), 0.5]), "error: c_true: coefficient vector [inf, 0.5] is not finite\n"),
             ("record", record_with(eigen_index=7), "error: eigen_index 7 out of range for dimension 4\n"),
             ("record", record_with(eigen_index=-1), "error: eigen_index -1 out of range for dimension 4\n"),
             ("record", record_with(eigen_index=1.5), "error: eigen_index must be an integer, got 1.5\n"),
@@ -345,7 +364,7 @@ class TestErrors:
         ],
         ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated",
              "terms_number", "dim_null", "dim_missing", "support_number", "label_missing", "matrix_dim_null",
-             "lambda_true_null", "c_true_short", "level_7", "level_negative", "level_float", "level_null",
+             "c_true_short", "c_true_nan", "c_true_inf", "level_7", "level_negative", "level_float", "level_null",
              "level_degenerate"],
     )
     def test_solve_rejects_bad_files(self, tmp_path, exp_config, capsys, monkeypatch, name, text, message):

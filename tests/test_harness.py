@@ -342,6 +342,24 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match=r"^row 2 cannot be reported$"):
             run_experiment(small_config(num_instances=4), threads=threads)
 
+    def test_row_whose_evaluation_raises_fails_alone(self, monkeypatch):
+        # a row whose point raises even when evaluated alone gets that
+        # exception as its result; the rows stacked beside it run on
+        cfg = small_config(num_instances=4)
+        serial = [without_wall(r) for r in run_experiment(cfg)]
+        error, failing = ValueError("row 1 cannot be evaluated"), []
+        answers = harness._answers
+
+        def failing_answers(objectives, points, ops):
+            if not failing:  # the first step holds every row, in row-id order
+                failing.append(objectives[1])
+            return [error if obj is failing[0] else a for obj, a in zip(objectives, answers(objectives, points, ops))]
+
+        monkeypatch.setattr(harness, "_answers", failing_answers)
+        done = harness._lockstep_worker(cfg, harness._row_tasks(cfg))
+        assert done[1] is error
+        assert [without_wall(done[k]) for k in (0, 2, 3)] == [serial[k] for k in (0, 2, 3)]
+
     def test_rows_in_flight_follow_row_dimension(self, monkeypatch):
         # n_qubits sets the rows' dimension, a custom lattice's too: wide
         # rows run _run_row in a pool, narrow ones start no thread

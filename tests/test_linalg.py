@@ -103,16 +103,17 @@ class TestFrechetDerivative:
                 w = np.array([base + gap, base])
                 exact_gap = w[0] - w[1]
                 ref = math.exp(base) * math.expm1(exact_gap) / exact_gap
-                phi = linalg._divided_difference_table(w)
+                phi = linalg._divided_difference_table(w, np.exp(w))
                 assert abs(phi[0, 1] - ref) <= 1e-14 * ref
                 assert phi[0, 1] == phi[1, 0]
-        phi = linalg._divided_difference_table(np.array([-1.5, -1.5]))
+        w = np.array([-1.5, -1.5])
+        phi = linalg._divided_difference_table(w, np.exp(w))
         assert np.all(phi == math.exp(-1.5))
 
     def test_divided_differences_ties_exact(self):
         # descending, as the objective passes it: an exact tie and a 1e-12 gap
         w = np.array([0.7, 0.7, -0.3, -0.3 - 1e-12, -2.5, -2.5, -2.5])
-        phi = linalg._divided_difference_table(w)
+        phi = linalg._divided_difference_table(w, np.exp(w))
         assert np.array_equal(phi, phi.T)
         for k in range(w.size):
             for l in range(w.size):

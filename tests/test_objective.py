@@ -192,8 +192,10 @@ class TestGraphAndDiagnostics:
         assert fwd["f"] == fwd["v8"] + fwd["v9"]
         assert np.array_equal(fwd["v2"], np.diag([0.0, -1.4]))
         assert np.allclose((fwd["u"] * fwd["lam"]) @ fwd["uh"], fwd["v2"] @ fwd["v2"])
-        assert np.allclose(fwd["wexp"], np.exp(-(fwd["lam"] - fwd["mu"])))
-        assert fwd["v5s"][0] == fwd["wexp"].sum() >= 1.0
+        assert np.array_equal(fwd["w"], fwd["lam"][0] - fwd["lam"]) and np.all(fwd["w"] <= 0)
+        assert np.allclose(fwd["p"], np.exp(fwd["w"]) / np.exp(fwd["w"]).sum())
+        assert abs(fwd["p"].sum() - 1.0) < 1e-15
+        assert np.allclose((fwd["u"] * fwd["p"]) @ fwd["uh"], fwd["v6"])
         assert abs(np.trace(fwd["v6"]).real - 1.0) < 1e-12
         assert fwd["v8"] == fwd["v7"] @ fwd["v7"]
 
@@ -206,9 +208,9 @@ class TestGraphAndDiagnostics:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fwd = obj._forward(np.array([1e9]))
-        assert fwd["mu"][0] < -700
-        # the shift by mu keeps the exponential's sum and rho finite
-        assert np.isfinite(fwd["v5s"][0]) and fwd["v5s"][0] >= 1.0
+        assert fwd["lam"][0] < -700
+        # the shift by lam[0] keeps rho's eigenvalues p and rho finite
+        assert np.all(np.isfinite(fwd["p"])) and abs(fwd["p"].sum() - 1.0) < 1e-12
         assert np.all(np.isfinite(fwd["v6"]))
         assert abs(np.trace(fwd["v6"]).real - 1.0) < 1e-12
         assert np.isfinite(fwd["f"]) and fwd["f"] >= 0

@@ -165,6 +165,19 @@ class TestBases:
         with pytest.raises(ValueError):
             assemble(basis, [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_assemble_refuses_non_finite(self, bad):
+        # a NaN or inf coefficient would make H, and every level read from
+        # it, non-finite; true_eigenstate names the vector c_true
+        basis = OperatorBasis(dim=2, terms=[PAULI_X, PAULI_Z], labels=["x", "z"])
+        message = f"coefficient vector [{bad}, 0.5] is not finite"
+        with pytest.raises(ValueError) as info:
+            assemble(basis, [bad, 0.5])
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            true_eigenstate(basis, [bad, 0.5], 0)
+        assert str(info.value) == f"c_true: {message}"
+
 
 class TestMeasurements:
     def test_eigenvalue_identity(self):
@@ -269,10 +282,12 @@ class TestSerialization:
         back = MeasurementRecord.from_json(read_json(path))
         assert np.array_equal(back.a, rec.a)
         assert back.truth.eigen_index == 1
-        assert back.truth.lambda_true == rec.truth.lambda_true
+        assert np.array_equal(back.truth.c_true, c)
+        assert set(rec.to_json()["truth"]) == {"c_true", "eigen_index"}
 
     def test_record_with_seed_key_loads(self):
-        # record files written by earlier versions carry a truth "seed" key
+        # record files written by earlier versions carry truth keys
+        # "seed" and "lambda_true"; both are ignored
         payload = {
             "basis_ref": "b",
             "a": [0.5, -0.25],
@@ -281,8 +296,7 @@ class TestSerialization:
         back = MeasurementRecord.from_json(payload)
         assert np.array_equal(back.a, [0.5, -0.25])
         assert back.truth.eigen_index == 1
-        assert back.truth.lambda_true == 0.3
-        assert "seed" not in back.to_json()["truth"]
+        assert set(back.to_json()["truth"]) == {"c_true", "eigen_index"}
 
     def test_record_without_truth(self):
         rec = MeasurementRecord(basis_ref="b", a=np.array([0.5]))

@@ -7,7 +7,9 @@ from hamlearn import optimizer
 from hamlearn.objective import ReconstructionObjective
 from hamlearn.operators import OperatorBasis, basis_generic, eigenstate_measurements
 from hamlearn.optimizer import (
+    LINE_SEARCH_MAX_EVALS,
     SolveConfig,
+    _cubic_minimum,
     _LineSearchFailure,
     _drive,
     _wolfe_steps,
@@ -92,6 +94,29 @@ class TestWolfeSearch:
         assert fa == line.phi(a)
         assert point.tolist() == [a] and grad.tolist() == [line.dphi(a)]
 
+    def test_zoom_spends_its_budget(self):
+        # a cliff: f = -a falls at slope -1 up to a = 1 and stands at 1
+        # beyond it. Every trial below the cliff passes the sufficient
+        # decrease test and fails the curvature test, and the bracket
+        # narrows too slowly to reach its width floor
+        line = _Line(lambda a: -a if a < 1 else 1.0, lambda a: -1.0)
+        with pytest.raises(_LineSearchFailure):
+            line.search(0.0, -1.0)
+        assert line.calls == LINE_SEARCH_MAX_EVALS
+
+    @pytest.mark.parametrize(
+        "point, why",
+        [
+            ((0.5, 0.0, -1.0, 0.5, -1.0, 1.0), "a_lo = a_hi"),
+            ((0.0, 0.0, 1.0, 1.0, 2 / 3, 1.0), "no real stationary point: d1 = 0, disc = -1"),
+            ((0.0, 0.0, 0.0, 1.0, 0.0, 0.0), "a flat cubic: denominator 0"),
+        ],
+        ids=["same_point", "negative_discriminant", "zero_denominator"],
+    )
+    def test_cubic_minimum_unusable(self, point, why):
+        # zoom then bisects its bracket
+        assert _cubic_minimum(*point) is None, why
+
 
 def quadratic():
     """f and grad of a convex quadratic, minimum at Q^{-1} b, and that minimum."""
@@ -154,6 +179,23 @@ class TestBfgs:
         out = bfgs_minimize(lambda x: float(-x[0]), lambda x: -np.ones(1), np.array([0.5]), SolveConfig(), f_target=-np.inf)
         assert (out.stop, out.iterations) == ("norm_cap", 2)
         assert out.x.tolist() == [1500.5]
+
+    def test_bracket_spends_its_budget(self):
+        # f = -1e-12 x from x0 = 1000: steepest descent p = 1e-12 caps the
+        # step at 1e3 (1 + 1000) / 1e-12, about 2^60, and doubling from 1
+        # spends all LINE_SEARCH_MAX_EVALS trials below it, none of which
+        # meets the curvature test
+        xs = []
+        out = bfgs_minimize(
+            lambda x: xs.append(x) or float(-1e-12 * x[0]),
+            lambda x: np.array([-1e-12]),
+            np.array([1000.0]),
+            SolveConfig(),
+            f_target=-np.inf,
+        )
+        assert (out.stop, out.iterations, out.x.tolist()) == ("line_search", 0, [1000.0])
+        assert len(xs) == 1 + LINE_SEARCH_MAX_EVALS
+        assert xs[-1][0] == 1000.0 + 2.0 ** (LINE_SEARCH_MAX_EVALS - 1) * 1e-12
 
     def test_returns_best_iterate(self):
         out = bfgs_minimize(
