@@ -68,7 +68,7 @@ def cmd_exp(args) -> int:
     cfg = ExperimentConfig.from_dict(read_json(args.config))
     _check_writable(args.out)
     rows = run_experiment(cfg, threads=args.threads)
-    write_rows(rows, args.out, fmt=args.format)
+    write_rows(rows, args.out)
     print(json.dumps(summarize([r.to_json() for r in rows]), indent=2))
     if any(not r.converged for r in rows):
         return EXIT_NOT_CONVERGED
@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         "threads (at d = 128 on 2 cores, about half the wall time for the same CPU); "
         "rows are identical either way but wall_ms",
     )
-    p_exp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_exp.set_defaults(func=cmd_exp)
 
     p_sum = sub.add_parser("summarize", help="aggregate a JSONL result file")

@@ -10,13 +10,12 @@ parallel and still reproduce byte-identically.
 from __future__ import annotations
 
 import collections
-import csv
 import json
 import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,6 +33,7 @@ from .operators import (
     json_object,
     require_int,
     require_json,
+    require_keys,
 )
 from .optimizer import SolveConfig, solve_hamiltonian, solve_steps
 
@@ -72,9 +72,6 @@ class ResultRow:
         return asdict(self)
 
 
-RESULT_FIELDS = tuple(f.name for f in fields(ResultRow))
-
-
 @dataclass
 class ExperimentConfig:
     preset: str
@@ -102,6 +99,8 @@ class ExperimentConfig:
             raise ValueError(f"n_qubits {self.n_qubits} differs from the lattice num_qubits {self.lattice.num_qubits}")
         if self.m_terms is not None:
             require_int("m_terms", self.m_terms, 1)
+        if self.solve.seed is not None:
+            raise ValueError("solve.seed is refused: each row derives its solve seed from the config's seed")
         pol = self.eigen_index_policy
         if not (pol in ("random", "all") or (isinstance(pol, int) and not isinstance(pol, bool))):
             raise ValueError(f"bad eigen_index_policy {pol!r}")
@@ -118,14 +117,7 @@ class ExperimentConfig:
             obj.pop("solve", None)
         else:
             obj["solve"] = SolveConfig.from_dict(obj["solve"])
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown experiment-config keys: {sorted(unknown)}")
-        required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
-        missing = [k for k in required if k not in obj]
-        if missing:
-            raise ValueError(f"missing experiment-config keys: {missing}")
+        require_keys("experiment-config", obj, cls)
         return cls(**obj)
 
 
@@ -376,19 +368,11 @@ def summarize(rows) -> dict:
     }
 
 
-def write_rows(rows, path, fmt: str = "jsonl") -> None:
-    if fmt == "jsonl":
-        with open(path, "w") as fh:
-            for r in rows:
-                fh.write(json.dumps(r.to_json()) + "\n")
-    elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
-            writer.writeheader()
-            for r in rows:
-                writer.writerow(r.to_json())
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+def write_rows(rows, path) -> None:
+    """Write the rows to a JSONL file, one JSON object a line."""
+    with open(path, "w") as fh:
+        for r in rows:
+            fh.write(json.dumps(r.to_json()) + "\n")
 
 
 def read_rows(path) -> list:

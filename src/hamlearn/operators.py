@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,15 @@ def require_json(name: str, value, kind: type = dict) -> None:
     if not isinstance(value, kind) or (kind is numbers.Real and isinstance(value, bool)):
         what = {dict: "a JSON object", list: "a list", str: "a string", numbers.Real: "a number"}[kind]
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def require_keys(name: str, obj: dict, cls: type) -> None:
+    """Raise ValueError if obj has a key that no field of the dataclass cls names, or lacks a field with no default."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING and f.name not in obj]
+    for which, keys in (("unknown", unknown), ("missing", missing)):
+        if keys:
+            raise ValueError(f"{which} {name} keys: {keys}")
 
 
 def json_object(text: str, where: str) -> dict:

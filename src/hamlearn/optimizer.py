@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .objective import ReconstructionObjective, first_positive_gap
-from .operators import OperatorBasis, require_int, require_json
+from .operators import OperatorBasis, require_int, require_json, require_keys
 
 # Fixed solver settings, read at call time. Only the acceptance threshold,
 # the budgets and the seed are configurable (SolveConfig).
@@ -46,10 +46,7 @@ class SolveConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "SolveConfig":
         require_json("solve config", obj)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown solve-config keys: {sorted(unknown)}")
+        require_keys("solve-config", obj, cls)
         return cls(**obj)
 
 

@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from hamlearn import cli
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
-from hamlearn.harness import RESULT_FIELDS
+from hamlearn.harness import ResultRow
 from hamlearn.operators import MeasurementRecord, OperatorBasis, read_json
 
 
@@ -94,8 +95,9 @@ class TestGenSolve:
         main(["solve", "--basis", str(out_dir / "basis_0000.json"), "--measurements",
               str(out_dir / "record_0000.json"), "--seed", "0", "--out", str(result_path)])
         payload = json.loads(result_path.read_text())
-        assert set(payload) - {"x_opt", "report"} <= set(RESULT_FIELDS)
-        assert set(payload["report"]) <= set(RESULT_FIELDS)
+        row_fields = {f.name for f in fields(ResultRow)}
+        assert set(payload) - {"x_opt", "report"} <= row_fields
+        assert set(payload["report"]) <= row_fields
 
     @pytest.mark.parametrize("lambda_true", [None, 123.0], ids=["null", "wrong"])
     def test_solve_ignores_lambda_true(self, tmp_path, exp_config, capsys, lambda_true):
@@ -211,12 +213,6 @@ class TestExp:
         assert code == EXIT_OK
         assert len([l for l in out_path.read_text().splitlines() if l]) == 2
 
-    def test_csv_format(self, tmp_path, exp_config, capsys):
-        out_path = tmp_path / "rows.csv"
-        code = main(["exp", "--config", str(exp_config), "--out", str(out_path), "--format", "csv"])
-        assert code == EXIT_OK
-        assert out_path.read_text().startswith("instance_id,")
-
 
 class TestErrors:
     def test_missing_config(self, tmp_path, capsys):
@@ -309,8 +305,11 @@ class TestErrors:
              "error: solve config must be a JSON object, got 5\n"),
             ({"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 2, "solve": []},
              "error: solve config must be a JSON object, got []\n"),
+            # each row's solve seed derives from the config's "seed", so a "solve" seed would go unread
+            ({"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 2, "solve": {"seed": 1}},
+             "error: solve.seed is refused: each row derives its solve seed from the config's seed\n"),
         ],
-        ids=["list", "string", "solve_number", "solve_list"],
+        ids=["list", "string", "solve_number", "solve_list", "solve_seed"],
     )
     def test_non_object_config_refused(self, tmp_path, exp_config, capsys, command, config, message):
         instances = tmp_path / "instances"
@@ -392,8 +391,9 @@ class TestErrors:
         [
             (["--config", "{cfg}", "--seed", "4", "--out", "{out}"], "error: unrecognized arguments: --seed 4\n"),
             (["--out", "{out}"], "error: the following arguments are required: --config\n"),
+            (["--config", "{cfg}", "--out", "{out}", "--format", "csv"], "error: unrecognized arguments: --format csv\n"),
         ],
-        ids=["removed_seed_flag", "no_config"],
+        ids=["removed_seed_flag", "no_config", "removed_format_flag"],
     )
     def test_usage_error_exits_1(self, tmp_path, exp_config, capsys, args, message):
         # exit 2 is exp's "not converged", so a usage error exits 1

@@ -8,6 +8,7 @@ from hamlearn import objective as obj_mod
 from hamlearn.objective import ReconstructionObjective
 from hamlearn.operators import OperatorBasis, basis_generic, eigenstate_measurements
 from hamlearn.optimizer import check_measurement_range
+from test_objective import exact_gradient
 
 
 @st.composite
@@ -42,6 +43,18 @@ def test_sign_symmetry(inst):
     f, g = obj.value(x), obj.gradient(x)
     assert abs(obj.value(-x) - f) <= 1e-12 * max(1.0, f)
     assert np.linalg.norm(obj.gradient(-x) + g) <= 1e-12 * max(1.0, np.linalg.norm(g))
+
+
+@PROPERTY_SETTINGS
+@given(instances())
+def test_gradient_matches_oracle(inst):
+    # the adjoint pass against the forward-mode Frechet reference; the bound
+    # is absolute near a zero gradient: at x = 0 it is exactly 0, and with
+    # m = 1 it sits at round-off
+    basis, rec, x = inst
+    obj = ReconstructionObjective(basis, rec.a)
+    ref = exact_gradient(obj, x)
+    assert np.linalg.norm(obj.gradient(x) - ref) <= 1e-10 * max(1.0, np.linalg.norm(ref))
 
 
 @PROPERTY_SETTINGS
