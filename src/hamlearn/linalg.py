@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-8
 
 MAX_DIM = 256
 
@@ -76,28 +75,6 @@ def frechet_exp(x, e, method: str = "divided_difference") -> np.ndarray:
 
         return scipy.linalg.expm_frechet(x, e, method="blockEnlarge", compute_expm=False)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _real_rows(values: np.ndarray, row_scales=None) -> np.ndarray:
-    """Real parts of traces that are real in exact arithmetic, judged row by row.
-
-    values has the traces on its last axis and rows on any leading axes (none
-    for one row). A trace may carry an imaginary residue up to
-    IMAG_RESIDUE_TOL times the largest of 1, its real part and its scale:
-    traces of large, nearly cancelling products carry round-off of that size.
-    row_scales(k), when given, builds the scales of row k (counted over the
-    flattened row axes), the product of its operands' norms. It runs only for
-    a row with a residue above IMAG_RESIDUE_TOL, below which no bound can fail.
-    """
-    residue = np.abs(values.imag)
-    if residue.max() > IMAG_RESIDUE_TOL:
-        m = values.shape[-1]
-        rows, residue = values.reshape(-1, m), residue.reshape(-1, m)
-        for k in np.flatnonzero(residue.max(axis=1) > IMAG_RESIDUE_TOL):
-            scales = 1.0 if row_scales is None else row_scales(k)
-            if np.any(residue[k] > IMAG_RESIDUE_TOL * np.maximum(1.0, np.maximum(np.abs(rows[k].real), scales))):
-                raise RuntimeError(f"trace expected real, imaginary residue {residue[k].max():.3e}")
-    return values.real
 
 
 def trace_product(a: np.ndarray, b: np.ndarray) -> complex:

@@ -53,7 +53,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _forward(ops: tuple, x: np.ndarray) -> dict:
-    """Forward pass at x, (m,) or (K, m); ops = (b_flat, a_flat, a, b_norms).
+    """Forward pass at x, (m,) or (K, m); ops = (b_flat, a_flat, a).
 
     Returns the nodes of f that the gradient and the diagnostics read: v2 =
     Hs, the eigenpairs lam, u (uh = u^dag) of v3 = Hs^2, the shifted
@@ -62,7 +62,7 @@ def _forward(ops: tuple, x: np.ndarray) -> dict:
     U diag(p) U^dag, the residuals v7, v8 = sum of their squares,
     v9 = tr(v3 rho) and f = v8 + v9.
     """
-    b_flat, a_flat, a, _ = ops
+    b_flat, a_flat, a = ops
     rows = x.shape[:-1]
     dd = b_flat.shape[-1]
     d = math.isqrt(dd)
@@ -76,7 +76,7 @@ def _forward(ops: tuple, x: np.ndarray) -> dict:
     v6 = (u * p[..., None, :]) @ uh
     v6 = (v6 + v6.conj().swapaxes(-1, -2)) / 2
     # tr(A_j v6) for every j: one product with v6^T raveled
-    v7 = linalg._real_rows((a_flat @ v6.swapaxes(-1, -2).reshape(rows + (dd, 1)))[..., 0]) - a
+    v7 = (a_flat @ v6.swapaxes(-1, -2).reshape(rows + (dd, 1)))[..., 0].real - a
     v8 = _dot(v7, v7)
     # tr(v3 v6) in the shared eigenbasis; v3 is PSD, so clip the tiny
     # negative eigh round-off (visible at ||x|| ~ 1e2+) to keep f >= 0
@@ -113,7 +113,7 @@ def _gradient(ops: tuple, fwd: dict) -> np.ndarray:
     G = U G' U^dag. The shift lam[0] cancels in rho and every downstream
     node, so holding it fixed gives the exact derivative.
     """
-    b_flat, _, _, b_norms = ops
+    b_flat = ops[0]
     lam, u, uh, p = fwd["lam"], fwd["u"], fwd["uh"], fwd["p"]
     rows, d = lam.shape[:-1], lam.shape[-1]
     phi = linalg._divided_difference_table(fwd["w"], p)
@@ -128,9 +128,7 @@ def _gradient(ops: tuple, fwd: dict) -> np.ndarray:
     hg = fwd["v2"] @ (u @ g_rep @ uh)
     s = hg + hg.conj().swapaxes(-1, -2)
     traces = (b_flat @ s.swapaxes(-1, -2).reshape(rows + (d * d, 1)))[..., 0]
-    m = traces.shape[-1]
-    grad = linalg._real_rows(traces, lambda k: b_norms.reshape(-1, m)[k] * np.linalg.norm(s.reshape(-1, d, d)[k]))
-    return np.ascontiguousarray(grad)  # not a strided view of the complex traces
+    return np.ascontiguousarray(traces.real)  # not a strided view of the complex traces
 
 
 def stack_operands(objectives: Sequence["ReconstructionObjective"]) -> tuple:
@@ -180,7 +178,7 @@ class ReconstructionObjective:
         b_flat = b_stack.reshape(m, d * d)
         a_flat = np.asarray(basis.terms, dtype=complex).reshape(m, d * d)
         # the kernel's operands
-        self._ops = (b_flat, a_flat, self.a, np.linalg.norm(b_flat, axis=1))
+        self._ops = (b_flat, a_flat, self.a)
         self._x_shape = (m,)
         self._cache_key: Optional[bytes] = None
         self._cache: Optional[dict] = None

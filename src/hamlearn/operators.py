@@ -286,8 +286,7 @@ def eigenstate_measurements(
     """Measure every basis term on the eigen_index-th eigenstate of H(c) (see true_eigenstate)."""
     c = np.asarray(c, dtype=float)
     _, psi = true_eigenstate(basis, c, eigen_index)
-    values = np.array([psi.conj() @ (term @ psi) for term in basis.terms])
-    # an expectation's round-off grows with its term's norm
-    a = np.ascontiguousarray(linalg._real_rows(values, lambda k: np.linalg.norm(basis.terms, axis=(1, 2))))
+    # each term passed check_hermitian, so its expectation is real up to round-off
+    a = np.array([(psi.conj() @ (term @ psi)).real for term in basis.terms])
     truth = Truth(c_true=c.copy(), eigen_index=eigen_index)
     return MeasurementRecord(basis_ref=basis_ref, a=a, truth=truth)

@@ -13,6 +13,7 @@ from hamlearn import cli
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
 from hamlearn.harness import ResultRow
 from hamlearn.operators import MeasurementRecord, OperatorBasis, read_json
+from test_objective import nearly_hermitian_d256_basis
 
 
 @pytest.fixture
@@ -116,6 +117,15 @@ class TestGenSolve:
             assert code == EXIT_OK
             payloads.append(json.loads(capsys.readouterr().out))
         assert payloads[1] == payloads[0]
+
+    def test_solve_basis_accepted_at_input(self, tmp_path, capsys):
+        # a d = 256 term that passes check_hermitian is solved, not refused mid-run
+        basis_path, record_path = tmp_path / "basis.json", tmp_path / "record.json"
+        basis_path.write_text(json.dumps(nearly_hermitian_d256_basis().to_json()))
+        record_path.write_text(json.dumps({"basis_ref": "b", "a": [0.0], "truth": None}))
+        code = main(["solve", "--basis", str(basis_path), "--measurements", str(record_path), "--seed", "0"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["converged"]
 
     @pytest.mark.parametrize(
         "policy, num_instances, solve",

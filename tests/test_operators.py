@@ -193,7 +193,7 @@ class TestMeasurements:
 
     def test_large_norm_basis_accepted(self):
         # expectations of exactly Hermitian terms of norm ~1e9 carry
-        # imaginary round-off above 1e-8, which each term's norm accounts for
+        # imaginary round-off above 1e-8; only their real parts are kept
         rng = np.random.default_rng(0)
         basis = basis_generic(16, 3, rng)
         c = rng.uniform(0, 1, 3)
