@@ -83,7 +83,6 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def matrix_to_json(a: np.ndarray) -> dict:
-    a = as_square(a)
     return {"dim": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
 
 

@@ -170,13 +170,10 @@ class ReconstructionObjective:
         d, m = basis.dim, basis.size
         if self.a.shape != (m,):
             raise ValueError(f"measurement vector length {self.a.shape} != basis size {m}")
-        # B_i = A_i - a_i I, also the per-coefficient derivatives of Hs
-        eye = np.eye(d)
-        b_stack = np.asarray([term - ai * eye for term, ai in zip(basis.terms, self.a)], dtype=complex)
-        # flattened stacks: tr(X_j Y) for every j is one product with Y^T
-        # raveled, and sum_j c_j X_j is c @ X_flat reshaped to d x d
-        b_flat = b_stack.reshape(m, d * d)
-        a_flat = np.asarray(basis.terms, dtype=complex).reshape(m, d * d)
+        # A_i and B_i = A_i - a_i I (Hs's per-coefficient derivatives) as flattened stacks:
+        # tr(X_j Y) for every j is one product with Y^T raveled, sum_j c_j X_j is c @ X_flat
+        a_flat = np.reshape(basis.terms, (m, d * d))
+        b_flat = a_flat - np.outer(self.a, np.eye(d).ravel())
         # the kernel's operands
         self._ops = (b_flat, a_flat, self.a)
         self._x_shape = (m,)

@@ -112,10 +112,13 @@ class OperatorBasis:
             raise ValueError("labels must be unique")
         if self.locality is not None and len(self.locality) != len(self.terms):
             raise ValueError("locality/terms length mismatch")
-        for lab, t in zip(self.labels, self.terms):
-            t = linalg.check_hermitian(t)
+        terms = [linalg.check_hermitian(t) for t in self.terms]
+        for lab, t in zip(self.labels, terms):
             if t.shape[0] != self.dim:
                 raise ValueError(f"term {lab} has dimension {t.shape[0]}, expected {self.dim}")
+        # keep each term's Hermitian part (A + A^dag)/2, with A's own bits wherever A already
+        # equals A^dag: every real combination of the kept terms is then exactly Hermitian
+        self.terms = [np.where(t == t.conj().T, t, (t + t.conj().T) / 2) for t in terms]
 
     @property
     def size(self) -> int:
@@ -161,7 +164,7 @@ class OperatorBasis:
 
 @dataclass
 class Truth:
-    """Test-only provenance of a measurement record."""
+    """The H(c_true) and level a record was measured on: gen writes it, solve and report score against it."""
 
     c_true: np.ndarray
     eigen_index: int
@@ -286,7 +289,7 @@ def eigenstate_measurements(
     """Measure every basis term on the eigen_index-th eigenstate of H(c) (see true_eigenstate)."""
     c = np.asarray(c, dtype=float)
     _, psi = true_eigenstate(basis, c, eigen_index)
-    # each term passed check_hermitian, so its expectation is real up to round-off
+    # each kept term is exactly Hermitian, so its expectation is real up to round-off
     a = np.array([(psi.conj() @ (term @ psi)).real for term in basis.terms])
     truth = Truth(c_true=c.copy(), eigen_index=eigen_index)
     return MeasurementRecord(basis_ref=basis_ref, a=a, truth=truth)

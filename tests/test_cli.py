@@ -12,7 +12,7 @@ import pytest
 from hamlearn import cli
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
 from hamlearn.harness import ResultRow
-from hamlearn.operators import MeasurementRecord, OperatorBasis, read_json
+from hamlearn.operators import MeasurementRecord, OperatorBasis, eigenstate_measurements, read_json
 from test_objective import nearly_hermitian_d256_basis
 
 
@@ -126,6 +126,17 @@ class TestGenSolve:
         code = main(["solve", "--basis", str(basis_path), "--measurements", str(record_path), "--seed", "0"])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["converged"]
+
+    def test_solve_reports_on_basis_accepted_at_input(self, tmp_path, capsys):
+        # the report rebuilds H from the kept terms, whose every real
+        # combination is exactly Hermitian, so its own check passes
+        basis = nearly_hermitian_d256_basis()
+        basis_path, record_path = tmp_path / "basis.json", tmp_path / "record.json"
+        basis_path.write_text(json.dumps(basis.to_json()))
+        record_path.write_text(json.dumps(eigenstate_measurements(basis, [0.7], 0).to_json()))
+        code = main(["solve", "--basis", str(basis_path), "--measurements", str(record_path), "--seed", "0"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["report"]["abs_fidelity"] >= 0.998
 
     @pytest.mark.parametrize(
         "policy, num_instances, solve",

@@ -340,7 +340,8 @@ class TestShiftedTerms:
 
 def nearly_hermitian_d256_basis() -> OperatorBasis:
     """One d = 256 term A = I - u u^T + i delta J (u uniform, J all ones), whose
-    max|A - A^dag| = 2 delta = 9.8e-11 passes check_hermitian."""
+    max|A - A^dag| = 2 delta = 9.8e-11 passes check_hermitian; the basis keeps
+    its Hermitian part I - u u^T, so the residue is gone from the start."""
     d = 256
     u = np.full(d, 1 / 16)
     term = np.eye(d) - np.outer(u, u) + 4.9e-11j * np.ones((d, d))
@@ -348,9 +349,10 @@ def nearly_hermitian_d256_basis() -> OperatorBasis:
 
 
 def test_basis_accepted_at_input_is_evaluated():
-    # Hermiticity is checked once, at input: the traces of a term that passed
-    # check_hermitian may carry an imaginary residue above 1e-8 at d = 256
+    # Hermiticity is checked once, at input, which removes the accepted residue:
+    # the kept term is exactly Hermitian and is evaluated at every x
     obj = ReconstructionObjective(nearly_hermitian_d256_basis(), [0.0])
+    assert np.array_equal(obj.basis.terms[0], obj.basis.terms[0].conj().T)
     for x in (1.0, 3.0, 10.0):
         assert np.isfinite(obj.value([x]))
         assert np.isfinite(obj.gradient([x])).all()

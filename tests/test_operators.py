@@ -137,6 +137,27 @@ class TestBases:
         assert basis.locality == [(1, 2), (2, 3), (3, 4)]
         assert basis.labels == ["A1_2", "A2_3", "A3_4"]
 
+    def test_generated_terms_keep_their_bits(self):
+        # the basis keeps a term's own bits wherever it already equals its
+        # conjugate transpose, so generated bases, records and rows are unchanged
+        generic = basis_generic(8, 3, np.random.default_rng(41))
+        rng = np.random.default_rng(41)
+        assert [t.tobytes() for t in generic.terms] == [random_hermitian(8, rng).tobytes() for _ in range(3)]
+        chain = LatticeSpec.chain(4)
+        local = basis_two_local(chain, np.random.default_rng(43))
+        rng = np.random.default_rng(43)
+        raw = [embed_two_local(random_hermitian(4, rng), i, j, 4) for i, j in chain.edges]
+        assert [t.tobytes() for t in local.terms] == [t.tobytes() for t in raw]
+
+    def test_nested_list_terms(self):
+        # terms given as nested lists are kept as complex arrays, which assemble
+        # and eigenstate_measurements can combine
+        b = OperatorBasis(dim=2, terms=[[[1, 0], [0, -1]], [[0, 1], [1, 0]]], labels=["z", "x"])
+        assert np.allclose(eigenstate_measurements(b, [0.3, 0.5], 0).a, [-0.5145, -0.8575], atol=1e-4)
+        for t in b.terms:
+            assert isinstance(t, np.ndarray) and t.dtype == complex
+            assert np.array_equal(t, t.conj().T)
+
     def test_random_hermitian_is_hermitian(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
