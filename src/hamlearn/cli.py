@@ -27,7 +27,7 @@ def cmd_gen(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     tasks = harness._row_tasks(cfg)
     for row_id, instance_index, eigen_index in tasks:
-        basis, record = harness.draw_instance(cfg, row_id, instance_index, eigen_index)
+        basis, record = harness.draw_instance(cfg, instance_index, eigen_index)
         (out / f"basis_{row_id:04d}.json").write_text(json.dumps(basis.to_json()))
         (out / f"record_{row_id:04d}.json").write_text(json.dumps(record.to_json()))
     print(f"wrote {len(tasks)} instance(s) to {out}")

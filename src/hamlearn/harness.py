@@ -164,8 +164,9 @@ def _row_tasks(cfg: ExperimentConfig) -> list:
     return [(row_id, i, k) for row_id, (i, k) in enumerate(pairs)]
 
 
-def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index):
-    """(basis, record) of one suite row; eigen_index None draws a random level.
+def draw_instance(cfg: ExperimentConfig, instance_index: int, eigen_index):
+    """(basis, record) of a suite row: instance instance_index at level
+    eigen_index, where None draws a random level.
 
     The Hamiltonian comes from the instance's generator stream, so the rows of
     a level sweep share it. A degenerate target level is redrawn, and a sweep
@@ -173,7 +174,6 @@ def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen
     """
     rng = _gen_rng(cfg.seed, instance_index)
     sweep = cfg.eigen_index_policy == "all"
-    basis_ref = f"basis_{row_id:04d}"
     for _ in range(MAX_REDRAWS):
         basis, c_true = _draw_instance(cfg, rng)
         if sweep and not np.all(np.diff(np.linalg.eigvalsh(assemble(basis, c_true))) > GAP_TOL):
@@ -184,7 +184,7 @@ def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen
             levels = (eigen_index,)
         for k in levels:
             try:
-                return basis, eigenstate_measurements(basis, c_true, k, basis_ref=basis_ref)
+                return basis, eigenstate_measurements(basis, c_true, k)
             except DegenerateEigenstateError:
                 pass
     raise RuntimeError(f"could not draw a non-degenerate instance after {MAX_REDRAWS} attempts")
@@ -192,7 +192,7 @@ def draw_instance(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen
 
 def _start_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index):
     """(basis, record, solve settings) of one suite row."""
-    basis, record = draw_instance(cfg, row_id, instance_index, eigen_index)
+    basis, record = draw_instance(cfg, instance_index, eigen_index)
     return basis, record, replace(cfg.solve, seed=_instance_seed(cfg.seed, row_id, 1))
 
 

@@ -81,14 +81,3 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
     """tr(AB) without forming the product."""
     return complex(np.sum(a * b.T))
 
-
-def matrix_to_json(a: np.ndarray) -> dict:
-    return {"dim": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    d = int(obj["dim"])
-    a = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    if a.shape != (d, d):
-        raise ValueError(f"matrix payload shape {a.shape} does not match dim {d}")
-    return a

@@ -1,4 +1,5 @@
-"""Operator bases, lattice embeddings, and eigenstate measurement records."""
+"""Operator bases, lattice embeddings, eigenstate measurement records, and
+the basis and record file formats."""
 
 from __future__ import annotations
 
@@ -94,6 +95,29 @@ class LatticeSpec:
         return cls(n, tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)))
 
 
+def matrix_to_json(a: np.ndarray) -> dict:
+    return {"re": a.real.tolist(), "im": a.imag.tolist()}
+
+
+def matrix_from_json(obj, d: int, name: str) -> np.ndarray:
+    """The complex matrix of a {"re", "im"} payload. Each part is checked on
+    its own, since numpy would broadcast a 1 x 1 part against a d x d one;
+    name (the term) is in the ValueError raised where either part is not a
+    d x d array of finite numbers."""
+    require_json(name, obj)
+    parts = []
+    for part in ("re", "im"):
+        require_json(f"{name} {part}", obj.get(part), list)
+        try:
+            a = np.asarray(obj[part], dtype=float)
+        except (TypeError, ValueError):  # ragged, or an entry that is not a number
+            a = None
+        if a is None or a.shape != (d, d) or not np.all(np.isfinite(a)):
+            raise ValueError(f"{name} {part} is not a {d} x {d} array of finite numbers")
+        parts.append(a)
+    return parts[0] + 1j * parts[1]
+
+
 @dataclass
 class OperatorBasis:
     """Ordered set of Hermitian operators A_1..A_m sharing one dimension."""
@@ -101,7 +125,6 @@ class OperatorBasis:
     dim: int
     terms: list
     labels: list
-    locality: Optional[list] = None  # per-term qubit support (i, j) or None
 
     def __post_init__(self):
         if len(self.terms) < 1:
@@ -110,8 +133,6 @@ class OperatorBasis:
             raise ValueError("labels/terms length mismatch")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        if self.locality is not None and len(self.locality) != len(self.terms):
-            raise ValueError("locality/terms length mismatch")
         terms = [linalg.check_hermitian(t) for t in self.terms]
         for lab, t in zip(self.labels, terms):
             if t.shape[0] != self.dim:
@@ -130,36 +151,22 @@ class OperatorBasis:
         return n if 2**n == self.dim else None
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n_qubits": self.n_qubits,
-            "terms": [
-                {
-                    "label": lab,
-                    "support": list(self.locality[k]) if self.locality and self.locality[k] else None,
-                    "matrix": linalg.matrix_to_json(t),
-                }
-                for k, (lab, t) in enumerate(zip(self.labels, self.terms))
-            ],
-        }
+        terms = [{"label": lab, "matrix": matrix_to_json(t)} for lab, t in zip(self.labels, self.terms)]
+        return {"dim": self.dim, "terms": terms}
 
     @classmethod
     def from_json(cls, obj: dict) -> "OperatorBasis":
+        """The basis of obj; keys it does not read, such as the n_qubits,
+        term support and matrix dim of earlier versions' files, are ignored."""
         require_int("basis dim", obj.get("dim"), 1)
         require_json("basis terms", obj.get("terms"), list)
         for k, t in enumerate(obj["terms"]):
             require_json(f"basis term {k}", t)
             require_json(f"basis term {k} label", t.get("label"), str)
-            require_json(f"basis term {k} support", t.get("support") or [], list)
-            require_json(f"basis term {k} matrix", t.get("matrix"))
-            require_int(f"basis term {k} matrix dim", t["matrix"].get("dim"))
-            for part in ("re", "im"):
-                require_json(f"basis term {k} matrix {part}", t["matrix"].get(part), list)
-        terms = [linalg.matrix_from_json(t["matrix"]) for t in obj["terms"]]
-        labels = [t["label"] for t in obj["terms"]]
-        supports = [tuple(t["support"]) if t.get("support") else None for t in obj["terms"]]
-        locality = supports if any(s is not None for s in supports) else None
-        return cls(dim=obj["dim"], terms=terms, labels=labels, locality=locality)
+        terms = [
+            matrix_from_json(t.get("matrix"), obj["dim"], f"basis term {k} matrix") for k, t in enumerate(obj["terms"])
+        ]
+        return cls(dim=obj["dim"], terms=terms, labels=[t["label"] for t in obj["terms"]])
 
 
 @dataclass
@@ -174,7 +181,6 @@ class Truth:
 class MeasurementRecord:
     """Expectation values a_i = <psi|A_i|psi> on one eigenstate."""
 
-    basis_ref: str
     a: np.ndarray
     truth: Optional[Truth] = None
 
@@ -182,19 +188,19 @@ class MeasurementRecord:
         truth = None
         if self.truth is not None:
             truth = {"c_true": np.asarray(self.truth.c_true).tolist(), "eigen_index": self.truth.eigen_index}
-        return {"basis_ref": self.basis_ref, "a": np.asarray(self.a).tolist(), "truth": truth}
+        return {"a": np.asarray(self.a).tolist(), "truth": truth}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MeasurementRecord":
-        """The record of obj; its truth's eigen_index is checked against a basis by true_eigenstate."""
-        require_json("record basis_ref", obj.get("basis_ref"), str)
+        """The record of obj; its truth's eigen_index is checked against a basis by true_eigenstate.
+        Keys it does not read, such as the basis_ref of earlier versions' files, are ignored."""
         require_json("record a", obj.get("a"), list)
         truth = obj.get("truth")
         if truth is not None:
             require_json("record truth", truth)
             require_json("record truth c_true", truth.get("c_true"), list)
             truth = Truth(np.asarray(truth["c_true"], float), truth.get("eigen_index"))
-        return cls(basis_ref=obj["basis_ref"], a=np.asarray(obj["a"], dtype=float), truth=truth)
+        return cls(a=np.asarray(obj["a"], dtype=float), truth=truth)
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -239,13 +245,8 @@ def basis_generic(d: int, m: int, rng: np.random.Generator) -> OperatorBasis:
 def basis_two_local(lattice: LatticeSpec, rng: np.random.Generator) -> OperatorBasis:
     """One random 4x4 Hermitian term per lattice edge, embedded on the register."""
     n = lattice.num_qubits
-    terms, labels, locality = [], [], []
-    for i, j in lattice.edges:
-        a4 = random_hermitian(4, rng)
-        terms.append(embed_two_local(a4, i, j, n))
-        labels.append(f"A{i}_{j}")
-        locality.append((i, j))
-    return OperatorBasis(dim=2**n, terms=terms, labels=labels, locality=locality)
+    terms = [embed_two_local(random_hermitian(4, rng), i, j, n) for i, j in lattice.edges]
+    return OperatorBasis(dim=2**n, terms=terms, labels=[f"A{i}_{j}" for i, j in lattice.edges])
 
 
 def assemble(basis: OperatorBasis, c: Sequence[float]) -> np.ndarray:
@@ -283,13 +284,11 @@ def true_eigenstate(basis: OperatorBasis, c: Sequence[float], eigen_index) -> tu
     return w, u[:, eigen_index]
 
 
-def eigenstate_measurements(
-    basis: OperatorBasis, c: Sequence[float], eigen_index: int, basis_ref: str = "basis"
-) -> MeasurementRecord:
+def eigenstate_measurements(basis: OperatorBasis, c: Sequence[float], eigen_index: int) -> MeasurementRecord:
     """Measure every basis term on the eigen_index-th eigenstate of H(c) (see true_eigenstate)."""
     c = np.asarray(c, dtype=float)
     _, psi = true_eigenstate(basis, c, eigen_index)
     # each kept term is exactly Hermitian, so its expectation is real up to round-off
     a = np.array([(psi.conj() @ (term @ psi)).real for term in basis.terms])
     truth = Truth(c_true=c.copy(), eigen_index=eigen_index)
-    return MeasurementRecord(basis_ref=basis_ref, a=a, truth=truth)
+    return MeasurementRecord(a=a, truth=truth)

@@ -36,12 +36,12 @@ def exp_config(tmp_path):
 NO_SOLVE_KEY = object()
 
 # a basis term as `gen` writes it, and a record for exp_config's d = 4, two-term basis
-TERM = {"label": "A1", "support": None, "matrix": {"dim": 2, "re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]}}
+TERM = {"label": "A1", "matrix": {"re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]}}
 
 
 def record_with(**truth) -> dict:
     truth = {"c_true": [0.5, 0.5], "eigen_index": 0, **truth}
-    return {"basis_ref": "basis_0000", "a": [0.5, 0.5], "truth": truth}
+    return {"a": [0.5, 0.5], "truth": truth}
 
 
 class TestGenSolve:
@@ -118,11 +118,33 @@ class TestGenSolve:
             payloads.append(json.loads(capsys.readouterr().out))
         assert payloads[1] == payloads[0]
 
+    def test_solve_ignores_keys_of_earlier_versions(self, tmp_path, exp_config, capsys):
+        # files of earlier versions carry a basis n_qubits, term supports,
+        # matrix dims and a record basis_ref; a pair of them solves as before
+        out_dir = tmp_path / "instances"
+        main(["gen", "--config", str(exp_config), "--out", str(out_dir)])
+        basis, record = read_json(out_dir / "basis_0000.json"), read_json(out_dir / "record_0000.json")
+        assert set(basis) == {"dim", "terms"} and set(record) == {"a", "truth"}
+        basis["n_qubits"] = 2
+        for t in basis["terms"]:
+            t["support"] = None
+            t["matrix"]["dim"] = 4
+        record["basis_ref"] = "basis_0000"
+        old_basis, old_record = tmp_path / "old_basis.json", tmp_path / "old_record.json"
+        old_basis.write_text(json.dumps(basis))
+        old_record.write_text(json.dumps(record))
+        capsys.readouterr()
+        payloads = []
+        for pair in ((out_dir / "basis_0000.json", out_dir / "record_0000.json"), (old_basis, old_record)):
+            assert main(["solve", "--basis", str(pair[0]), "--measurements", str(pair[1]), "--seed", "0"]) == EXIT_OK
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[1] == payloads[0]
+
     def test_solve_basis_accepted_at_input(self, tmp_path, capsys):
         # a d = 256 term that passes check_hermitian is solved, not refused mid-run
         basis_path, record_path = tmp_path / "basis.json", tmp_path / "record.json"
         basis_path.write_text(json.dumps(nearly_hermitian_d256_basis().to_json()))
-        record_path.write_text(json.dumps({"basis_ref": "b", "a": [0.0], "truth": None}))
+        record_path.write_text(json.dumps({"a": [0.0], "truth": None}))
         code = main(["solve", "--basis", str(basis_path), "--measurements", str(record_path), "--seed", "0"])
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["converged"]
@@ -358,19 +380,20 @@ class TestErrors:
             ("basis", '{"dim": 2, "terms": [1]}', "error: basis term 0 must be a JSON object, got 1\n"),
             ("basis", '{"dim": 2, "terms": [{"label": "A1", "matrix": [1]}]}',
              "error: basis term 0 matrix must be a JSON object, got [1]\n"),
-            ("record", '{"basis_ref": "b", "a": [0.5], "truth": 3}', "error: record truth must be a JSON object, got 3\n"),
+            ("record", '{"a": [0.5], "truth": 3}', "error: record truth must be a JSON object, got 3\n"),
             ("config", '{"preset": "generic", "n_qubits": 2,',
              "error: {path}: Expecting property name enclosed in double quotes at column 37\n"),
             # each field from_json reads is checked for its type and named
             ("basis", {"dim": 2, "terms": 5}, "error: basis terms must be a list, got 5\n"),
             ("basis", {"dim": None, "terms": [TERM]}, "error: basis dim must be an integer, got None\n"),
             ("basis", {"terms": [TERM]}, "error: basis dim must be an integer, got None\n"),
-            ("basis", {"dim": 2, "terms": [{**TERM, "support": 5}]},
-             "error: basis term 0 support must be a list, got 5\n"),
             ("basis", {"dim": 2, "terms": [{"matrix": TERM["matrix"]}]},
              "error: basis term 0 label must be a string, got None\n"),
-            ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "dim": None}}]},
-             "error: basis term 0 matrix dim must be an integer, got None\n"),
+            # a part that is not d x d is refused, not broadcast against the other
+            ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "re": [[1]]}}]},
+             "error: basis term 0 matrix re is not a 2 x 2 array of finite numbers\n"),
+            ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "im": [[0]]}}]},
+             "error: basis term 0 matrix im is not a 2 x 2 array of finite numbers\n"),
             # a truth the basis (d = 4, two terms) cannot hold is refused before the solve
             ("record", record_with(c_true=[0.5]), "error: c_true: coefficient vector length (1,) != basis size 2\n"),
             ("record", record_with(c_true=[float("nan"), 0.5]), "error: c_true: coefficient vector [nan, 0.5] is not finite\n"),
@@ -383,7 +406,7 @@ class TestErrors:
              "error: eigenvalue 0 is degenerate (gap 0.000e+00 to a neighbour)\n"),
         ],
         ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated",
-             "terms_number", "dim_null", "dim_missing", "support_number", "label_missing", "matrix_dim_null",
+             "terms_number", "dim_null", "dim_missing", "label_missing", "re_one_by_one", "im_one_by_one",
              "c_true_short", "c_true_nan", "c_true_inf", "level_7", "level_negative", "level_float", "level_null",
              "level_degenerate"],
     )

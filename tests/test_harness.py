@@ -176,7 +176,7 @@ class TestDrawInstance:
             return (first, c_true) if len(draws) == 1 else (basis, c_true)
 
         monkeypatch.setattr(harness, "_draw_instance", degenerate_first)
-        basis, record = harness.draw_instance(small_config(eigen_index_policy=policy), 0, 0, level)
+        basis, record = harness.draw_instance(small_config(eigen_index_policy=policy), 0, level)
         assert len(draws) == 2
         assert basis is draws[1][0]
         assert np.array_equal(record.truth.c_true, draws[1][1])
@@ -190,12 +190,12 @@ class TestDrawInstance:
         measure = harness.eigenstate_measurements
         tried = []
         monkeypatch.setattr(
-            harness, "eigenstate_measurements", lambda basis, c, k, **kw: tried.append(k) or measure(basis, c, k, **kw)
+            harness, "eigenstate_measurements", lambda basis, c, k: tried.append(k) or measure(basis, c, k)
         )
         attempts = []
-        for row_id in range(8):
+        for instance_index in range(8):
             tried.clear()
-            basis, record = harness.draw_instance(small_config(), row_id, row_id, None)
+            basis, record = harness.draw_instance(small_config(), instance_index, None)
             assert basis is PARTIAL
             assert record.truth.eigen_index == tried[-1] and tried[-1] in (2, 3)
             assert all(k in (0, 1) for k in tried[:-1])
@@ -206,7 +206,7 @@ class TestDrawInstance:
         draws = []
         monkeypatch.setattr(harness, "_draw_instance", lambda cfg, rng: draws.append(rng) or (DEGENERATE, np.ones(2)))
         with pytest.raises(RuntimeError, match=r"^could not draw a non-degenerate instance after 10 attempts$"):
-            harness.draw_instance(small_config(), 0, 0, None)
+            harness.draw_instance(small_config(), 0, None)
         assert len(draws) == harness.MAX_REDRAWS
 
 
@@ -313,10 +313,10 @@ class TestRunExperiment:
         # a row that raises inside a lockstep batch raises what the serial run raises
         draw = harness.draw_instance
 
-        def failing_draw(cfg, row_id, *args):
-            if row_id in (1, 2):
-                raise RuntimeError(f"row {row_id} cannot be drawn")
-            return draw(cfg, row_id, *args)
+        def failing_draw(cfg, instance_index, *args):  # instance i is row i here
+            if instance_index in (1, 2):
+                raise RuntimeError(f"row {instance_index} cannot be drawn")
+            return draw(cfg, instance_index, *args)
 
         monkeypatch.setattr(harness, "draw_instance", failing_draw)
         with pytest.raises(RuntimeError, match=r"^row 1 cannot be drawn$"):
@@ -327,14 +327,17 @@ class TestRunExperiment:
         # a row whose report raises after its solve counts as failed like a
         # row that cannot be drawn; the lower row id's error is raised
         draw, report = harness.draw_instance, harness.metrics.report
+        rows = {}  # id of each drawn record: its row
 
-        def failing_draw(cfg, row_id, *args):
-            if row_id == 3:
+        def failing_draw(cfg, instance_index, *args):  # instance i is row i here
+            if instance_index == 3:
                 raise RuntimeError("row 3 cannot be drawn")
-            return draw(cfg, row_id, *args)
+            basis, record = draw(cfg, instance_index, *args)
+            rows[id(record)] = instance_index
+            return basis, record
 
         def failing_report(basis, result, record):
-            if record.basis_ref == "basis_0002":
+            if rows[id(record)] == 2:
                 raise RuntimeError("row 2 cannot be reported")
             return report(basis, result, record)
 

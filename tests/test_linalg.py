@@ -148,14 +148,3 @@ class TestFrechetDerivative:
         with pytest.raises(ValueError):
             linalg.frechet_exp(np.eye(2), np.eye(2), method="pade")
 
-
-class TestSerialization:
-    def test_matrix_round_trip(self):
-        rng = np.random.default_rng(29)
-        a = random_hermitian(4, rng)
-        back = linalg.matrix_from_json(linalg.matrix_to_json(a))
-        assert np.array_equal(back, a)
-
-    def test_matrix_from_json_shape_check(self):
-        with pytest.raises(ValueError):
-            linalg.matrix_from_json({"dim": 3, "re": [[0, 0], [0, 0]], "im": [[0, 0], [0, 0]]})

@@ -17,6 +17,8 @@ from hamlearn.operators import (
     eigenstate_measurements,
     embed_two_local,
     json_object,
+    matrix_from_json,
+    matrix_to_json,
     random_hermitian,
     read_json,
     true_eigenstate,
@@ -134,7 +136,6 @@ class TestBases:
         basis = basis_two_local(LatticeSpec.chain(4), rng)
         assert basis.size == 3
         assert basis.dim == 16
-        assert basis.locality == [(1, 2), (2, 3), (3, 4)]
         assert basis.labels == ["A1_2", "A2_3", "A3_4"]
 
     def test_generated_terms_keep_their_bits(self):
@@ -237,8 +238,7 @@ class TestMeasurements:
         rng = np.random.default_rng(61)
         basis = basis_generic(4, 2, rng)
         c = rng.uniform(0, 1, 2)
-        rec = eigenstate_measurements(basis, c, 2, basis_ref="b0")
-        assert rec.basis_ref == "b0"
+        rec = eigenstate_measurements(basis, c, 2)
         assert rec.truth.eigen_index == 2
         assert np.array_equal(rec.truth.c_true, c)
 
@@ -289,9 +289,48 @@ class TestSerialization:
         back = OperatorBasis.from_json(read_json(path))
         assert back.dim == basis.dim
         assert back.labels == basis.labels
-        assert back.locality == basis.locality
         for a, b in zip(back.terms, basis.terms):
             assert np.array_equal(a, b)
+        # a file holds what a solve reads: the dimension, and each term's label and matrix
+        assert set(basis.to_json()) == {"dim", "terms"}
+        assert all(set(t) == {"label", "matrix"} for t in basis.to_json()["terms"])
+        assert all(set(t["matrix"]) == {"re", "im"} for t in basis.to_json()["terms"])
+
+    def test_basis_of_earlier_versions_loads(self):
+        # basis files written by earlier versions carry n_qubits, a term
+        # support and a matrix dim; all three are ignored
+        basis = basis_two_local(LatticeSpec.chain(3), np.random.default_rng(67))
+        old = basis.to_json()
+        old["n_qubits"] = 3
+        for t, edge in zip(old["terms"], ([1, 2], [2, 3])):
+            t["support"] = edge
+            t["matrix"]["dim"] = 8
+        back = OperatorBasis.from_json(old)
+        assert back.labels == basis.labels
+        assert all(np.array_equal(a, b) for a, b in zip(back.terms, basis.terms))
+        assert back.to_json() == basis.to_json()
+
+    def test_matrix_round_trip(self):
+        rng = np.random.default_rng(29)
+        a = random_hermitian(4, rng)
+        back = matrix_from_json(matrix_to_json(a), 4, "matrix")
+        assert np.array_equal(back, a)
+
+    def test_matrix_from_json_shape_check(self):
+        # either part must be d x d and finite: numpy would broadcast a 1 x 1
+        # re or im against the other, and a 2 x 2 payload in a d = 3 basis is refused
+        zero = [[0, 0], [0, 0]]
+        for payload, d, part in [
+            ({"re": zero, "im": zero}, 3, "re"),
+            ({"re": [[1]], "im": zero}, 2, "re"),
+            ({"re": zero, "im": [[0]]}, 2, "im"),
+            ({"re": zero, "im": [[0, 0], [0]]}, 2, "im"),
+            ({"re": zero, "im": [["a", 0], [0, 0]]}, 2, "im"),
+            ({"re": [[None, 0], [0, 0]], "im": zero}, 2, "re"),  # JSON null reads as NaN
+        ]:
+            with pytest.raises(ValueError) as info:
+                matrix_from_json(payload, d, "term A1 matrix")
+            assert str(info.value) == f"term A1 matrix {part} is not a {d} x {d} array of finite numbers"
 
     def test_record_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -307,8 +346,8 @@ class TestSerialization:
         assert set(rec.to_json()["truth"]) == {"c_true", "eigen_index"}
 
     def test_record_with_seed_key_loads(self):
-        # record files written by earlier versions carry truth keys
-        # "seed" and "lambda_true"; both are ignored
+        # record files written by earlier versions carry a "basis_ref" and
+        # the truth keys "seed" and "lambda_true"; all three are ignored
         payload = {
             "basis_ref": "b",
             "a": [0.5, -0.25],
@@ -317,10 +356,11 @@ class TestSerialization:
         back = MeasurementRecord.from_json(payload)
         assert np.array_equal(back.a, [0.5, -0.25])
         assert back.truth.eigen_index == 1
+        assert set(back.to_json()) == {"a", "truth"}
         assert set(back.to_json()["truth"]) == {"c_true", "eigen_index"}
 
     def test_record_without_truth(self):
-        rec = MeasurementRecord(basis_ref="b", a=np.array([0.5]))
+        rec = MeasurementRecord(a=np.array([0.5]))
         back = MeasurementRecord.from_json(rec.to_json())
         assert back.truth is None
 

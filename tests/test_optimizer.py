@@ -434,3 +434,32 @@ class TestSolveHamiltonian:
         stops = [out.stop for _, out in bfgs_runs]
         assert stops[: len(stops) // 2] == stops[len(stops) // 2 :]
         assert "returned" in stops
+
+    def test_restart_starts_do_not_depend_on_outcomes(self):
+        # a chain that misses eps runs all HOPS_PER_RESTART hops, and each hop
+        # draws the same variates wherever it starts, so every restart's x0 sits
+        # at a fixed place in the row's stream whatever the runs before it did
+        rng = np.random.default_rng(317)
+        basis = basis_generic(4, 3, rng)
+        rec = eigenstate_measurements(basis, rng.uniform(0, 1, 3), 1)
+        obj = ReconstructionObjective(basis, rec.a)
+        cfg = SolveConfig(seed=11, max_restarts=3)
+
+        def starts(outcome_seed):
+            fake = np.random.default_rng(outcome_seed)
+
+            def outcome(run):
+                runs.append(run)
+                x = np.zeros(obj.size) if fake.uniform() < 0.2 else fake.normal(0, 5, obj.size)
+                f = float(fake.uniform(cfg.eps, 1.0))
+                return optimizer.BfgsOutcome(x, f, 1.0, int(fake.integers(1, 50)), np.eye(obj.size), "iter_cap")
+
+            runs = []
+            result = _drive(optimizer._restart_steps(obj, cfg), outcome)
+            assert not result.converged and result.restarts == cfg.max_restarts
+            assert len(runs) == cfg.max_restarts * (1 + optimizer.HOPS_PER_RESTART)
+            return [x0 for x0, home in runs if home is None]
+
+        first, second = starts(1), starts(2)
+        assert len(first) == cfg.max_restarts
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
