@@ -14,7 +14,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -327,6 +326,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     if threads == 1:
         return [_run_row(cfg, *t) for t in tasks]
     if 2**cfg.n_qubits > STACK_DIM_MAX:
+        from concurrent.futures import ThreadPoolExecutor  # only wide rows load the pool's modules
         with ThreadPoolExecutor(max_workers=threads) as executor:
             return list(executor.map(lambda t: _run_row(cfg, *t), tasks))
     done = _lockstep_worker(cfg, tasks)

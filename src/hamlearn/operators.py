@@ -34,6 +34,14 @@ def require_json(name: str, value, kind: type = dict) -> None:
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
+def require_numbers(name: str, value) -> np.ndarray:
+    """The float array of value; ValueError unless it is a list whose every entry is a number (no bool)."""
+    require_json(name, value, list)
+    for k, v in enumerate(value):
+        require_json(f"{name} entry {k}", v, numbers.Real)
+    return np.asarray(value, dtype=float)
+
+
 def require_keys(name: str, obj: dict, cls: type) -> None:
     """Raise ValueError if obj has a key that no field of the dataclass cls names, or lacks a field with no default."""
     unknown = sorted(set(obj) - {f.name for f in fields(cls)})
@@ -194,13 +202,12 @@ class MeasurementRecord:
     def from_json(cls, obj: dict) -> "MeasurementRecord":
         """The record of obj; its truth's eigen_index is checked against a basis by true_eigenstate.
         Keys it does not read, such as the basis_ref of earlier versions' files, are ignored."""
-        require_json("record a", obj.get("a"), list)
+        a = require_numbers("record a", obj.get("a"))
         truth = obj.get("truth")
         if truth is not None:
             require_json("record truth", truth)
-            require_json("record truth c_true", truth.get("c_true"), list)
-            truth = Truth(np.asarray(truth["c_true"], float), truth.get("eigen_index"))
-        return cls(a=np.asarray(obj["a"], dtype=float), truth=truth)
+            truth = Truth(require_numbers("record truth c_true", truth.get("c_true")), truth.get("eigen_index"))
+        return cls(a=a, truth=truth)
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -404,11 +404,19 @@ class TestErrors:
             ("record", record_with(eigen_index=None), "error: eigen_index must be an integer, got None\n"),
             ("record", record_with(c_true=[0.0, 0.0]),
              "error: eigenvalue 0 is degenerate (gap 0.000e+00 to a neighbour)\n"),
+            # an entry of a or c_true that is not a number is refused by name, not by numpy
+            ("record", {"a": [[0.5], [0.1, 0.2]], "truth": None},
+             "error: record a entry 0 must be a number, got [0.5]\n"),
+            ("record", {"a": ["x", 0.1], "truth": None}, "error: record a entry 0 must be a number, got 'x'\n"),
+            ("record", record_with(c_true=[[0.5], [0.1, 0.2]]),
+             "error: record truth c_true entry 0 must be a number, got [0.5]\n"),
+            ("record", record_with(c_true=["x", 0.1]),
+             "error: record truth c_true entry 0 must be a number, got 'x'\n"),
         ],
         ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated",
              "terms_number", "dim_null", "dim_missing", "label_missing", "re_one_by_one", "im_one_by_one",
              "c_true_short", "c_true_nan", "c_true_inf", "level_7", "level_negative", "level_float", "level_null",
-             "level_degenerate"],
+             "level_degenerate", "a_ragged", "a_string", "c_true_ragged", "c_true_string"],
     )
     def test_solve_rejects_bad_files(self, tmp_path, exp_config, capsys, monkeypatch, name, text, message):
         instances = tmp_path / "instances"

@@ -1,5 +1,6 @@
 """Unit tests for the experiment harness: configs, seeding, rows, summaries."""
 
+import concurrent.futures
 import json
 import sys
 import threading
@@ -287,7 +288,7 @@ class TestRunExperiment:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert [without_wall(r) for r in run_experiment(cfg, threads=3)] == serial
 
     def test_refills_match_serial(self, monkeypatch):
@@ -368,8 +369,8 @@ class TestRunExperiment:
         # n_qubits sets the rows' dimension, a custom lattice's too: wide
         # rows run _run_row in a pool, narrow ones start no thread
         pools = []
-        pool = harness.ThreadPoolExecutor
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
+        pool = concurrent.futures.ThreadPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda **kw: pools.append(kw) or pool(**kw))
         monkeypatch.setattr(harness, "_run_row", lambda cfg, row_id, *args: row_id)
         wide = small_config(preset="custom", n_qubits=5, m_terms=None, lattice=LatticeSpec.chain(5))
         assert run_experiment(wide, threads=2) == [0, 1, 2]

@@ -359,6 +359,18 @@ class TestSerialization:
         assert set(back.to_json()) == {"a", "truth"}
         assert set(back.to_json()["truth"]) == {"c_true", "eigen_index"}
 
+    def test_record_entries_must_be_numbers(self):
+        # a bool, a list or a string entry is refused by field and place;
+        # numpy would read true as 1.0, and name neither for the others
+        for a, c_true, message in [
+            ([0.5, True], [0.1, 0.2], "record a entry 1 must be a number, got True"),
+            ([0.5, 0.1], [0.1, [0.2]], "record truth c_true entry 1 must be a number, got [0.2]"),
+            ([0.5, 0.1], [None, 0.2], "record truth c_true entry 0 must be a number, got None"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                MeasurementRecord.from_json({"a": a, "truth": {"c_true": c_true, "eigen_index": 0}})
+            assert str(info.value) == message
+
     def test_record_without_truth(self):
         rec = MeasurementRecord(a=np.array([0.5]))
         back = MeasurementRecord.from_json(rec.to_json())

@@ -13,12 +13,20 @@ import hamlearn
 PACKAGE_DIR = Path(hamlearn.__file__).parent
 
 
-def test_import_loads_no_scipy():
-    # scipy is only needed by frechet_exp's augmented_block route; importing
-    # it at package import would add its load time to every start-up
+def test_import_and_narrow_suite_load_no_scipy_or_pool():
+    # scipy is only needed by frechet_exp's augmented_block route, and the
+    # thread pool's concurrent.futures only by suites of d > STACK_DIM_MAX
+    # rows at threads >= 2; loading either at package import, or on a
+    # narrow suite's path, would add its load time and memory to every run
     path = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    code = "import hamlearn, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, hamlearn\n"
+        "from hamlearn.harness import ExperimentConfig, run_experiment\n"
+        "cfg = ExperimentConfig(preset='generic', n_qubits=2, num_instances=2, seed=3, m_terms=2)\n"
+        "assert len(run_experiment(cfg, threads=2)) == 2\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
