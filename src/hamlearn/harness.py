@@ -229,18 +229,19 @@ def _row_steps(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_in
 
 # Rows the lockstep worker stacks at d <= STACK_DIM_MAX; wider rows run
 # _run_row, one per thread of a pool. Measured (2 cores, one BLAS thread): at
-# d = 16, m = 3 a stacked evaluation costs 184 us a row alone, 96 at 8 rows
-# and 111 to 116 at 12 to 32 (the eigh, about 70 us a row, does not
-# shrink). A second stacking worker at d = 16 bought no wall time and cost
-# about a quarter more CPU (the GIL serialises the workers' small calls),
-# hence one. 8, 16, 24 and 40 rows took the same CPU on a generic n=4
-# suite of 40 rows within run-to-run noise (1.8 to 2.8 s), at 38.2, 39.2,
-# 40.2 and 41.9 MB peak memory, so 8. On generic suites at d = 4 and d = 8,
-# 8 rows also took less CPU than 1 or 4. At d = 32 two rows cost what one
-# does and four cost more, and at d = 64 four cost 1.1x to 1.7x a row, so
-# wide rows are not stacked. There the pool pays at d = 128: a local_chain
-# n = 7 suite of 5 rows took 40 to 44 s of wall and 76 to 81 s of CPU at
-# threads = 2 against 78 to 83 s of both at threads = 1.
+# d = 16, m = 3 a stacked evaluation costs 115 to 118 us a row alone, 79 to
+# 93 at 2 rows, 63 to 66 at 8 and 57 to 64 at 16. A second stacking worker
+# at d = 16 bought no wall time and cost about a quarter more CPU (the GIL
+# serialises the workers' small calls), hence one. A generic n=4 suite of
+# 40 rows took 1.29 to 1.44 s with 8 rows in flight, 1.28 to 1.51 s with 16
+# and 1.34 to 1.43 s with 40, for the same rows, and 8, 16, 24 and 40 rows
+# peaked at 38.2, 39.2, 40.2 and 41.9 MB, so 8. On generic suites at d = 4
+# and d = 8, 8 rows also took less CPU than 1 or 4. At d = 32 a row costs
+# 249 to 269 us alone, 285 to 445 at 2 rows and 246 to 261 at 8, and at
+# d = 64 four cost 1.1x to 1.7x a row, so wide rows are not stacked. There
+# the pool pays at d = 128: a local_chain n = 7 suite of 5 rows took 40 to
+# 44 s of wall and 76 to 81 s of CPU at threads = 2 against 78 to 83 s of
+# both at threads = 1.
 ROWS_IN_FLIGHT = 8
 STACK_DIM_MAX = 16
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .operators import OperatorBasis
+from .operators import OperatorBasis, check_measurement_range
 
 
 @dataclass
@@ -155,6 +155,8 @@ def evaluate_stacked(ops: tuple, xs: Sequence[np.ndarray]):
 class ReconstructionObjective:
     """f(x), grad f(x), and diagnostics for one (basis, measurements) pair.
 
+    The constructor refuses measurements that check_measurement_range
+    refuses, so no objective reaches an eigh with a NaN or impossible a_i.
     Each method runs the kernel at one x (no row axis). The forward pass (one
     Hermitian eigendecomposition of Hs^2) is cached on the argument, so
     value/gradient/diagnostics at the same x share it (and
@@ -167,9 +169,8 @@ class ReconstructionObjective:
     def __init__(self, basis: OperatorBasis, a: Sequence[float]):
         self.basis = basis
         self.a = np.asarray(a, dtype=float)
+        check_measurement_range(basis, self.a)
         d, m = basis.dim, basis.size
-        if self.a.shape != (m,):
-            raise ValueError(f"measurement vector length {self.a.shape} != basis size {m}")
         # A_i and B_i = A_i - a_i I (Hs's per-coefficient derivatives) as flattened stacks:
         # tr(X_j Y) for every j is one product with Y^T raveled, sum_j c_j X_j is c @ X_flat
         a_flat = np.reshape(basis.terms, (m, d * d))

@@ -13,6 +13,7 @@ import numpy as np
 from . import linalg
 
 GAP_TOL = 1e-8
+RANGE_SLACK = 1e-10  # a measurement's round-off past its term's range, per unit of spectral radius
 
 
 class DegenerateEigenstateError(ValueError):
@@ -208,6 +209,25 @@ class MeasurementRecord:
             require_json("record truth", truth)
             truth = Truth(require_numbers("record truth c_true", truth.get("c_true")), truth.get("eigen_index"))
         return cls(a=a, truth=truth)
+
+
+def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
+    """Each a_i must be finite and lie in the numerical range of A_i, up to
+    RANGE_SLACK times the larger of 1 and A_i's spectral radius."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (basis.size,):
+        raise ValueError(f"measurement vector length {a.shape} != basis size {basis.size}")
+    if not np.all(np.isfinite(a)):
+        k = int(np.flatnonzero(~np.isfinite(a))[0])
+        raise ValueError(f"measurement a[{k}] = {a[k]} is not finite")
+    for k, term in enumerate(basis.terms):
+        w = np.linalg.eigvalsh(term)
+        slack = RANGE_SLACK * max(1.0, abs(w[0]), abs(w[-1]))
+        if a[k] < w[0] - slack or a[k] > w[-1] + slack:
+            raise ValueError(
+                f"measurement a[{k}] = {a[k]:.6g} outside the numerical range "
+                f"[{w[0]:.6g}, {w[-1]:.6g}] of term {basis.labels[k]}"
+            )
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,6 @@ HOPS_PER_RESTART = 12  # outward basin-hop proposals after each stall
 # would have solved its row and 6 would have ended below f*; at 0.3, 2 of
 # 1490 would have solved it and 27 ended lower, at 0.4, 8 and 103 of 2882.
 RETURN_RADIUS = 0.2
-RANGE_SLACK = 1e-10  # a measurement's round-off past its term's range, per unit of spectral radius
 
 
 @dataclass
@@ -261,25 +260,6 @@ def bfgs_minimize(
     return _drive(_bfgs_steps(x0, cfg, f_target, home), lambda x: (objective(x), grad(x)))
 
 
-def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
-    """Each a_i must be finite and lie in the numerical range of A_i, up to
-    RANGE_SLACK times the larger of 1 and A_i's spectral radius."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (basis.size,):
-        raise ValueError(f"measurement vector length {a.shape} != basis size {basis.size}")
-    if not np.all(np.isfinite(a)):
-        k = int(np.flatnonzero(~np.isfinite(a))[0])
-        raise ValueError(f"measurement a[{k}] = {a[k]} is not finite")
-    for k, term in enumerate(basis.terms):
-        w = np.linalg.eigvalsh(term)
-        slack = RANGE_SLACK * max(1.0, abs(w[0]), abs(w[-1]))
-        if a[k] < w[0] - slack or a[k] > w[-1] + slack:
-            raise ValueError(
-                f"measurement a[{k}] = {a[k]:.6g} outside the numerical range "
-                f"[{w[0]:.6g}, {w[-1]:.6g}] of term {basis.labels[k]}"
-            )
-
-
 # Basin-hop proposal parameters. A stalled minimizer almost always sits at a
 # scale too small for the global valley, pointing within a few degrees of a
 # nearby deeper basin; proposals therefore push outward in norm with a small
@@ -340,12 +320,6 @@ def _restart_steps(obj: ReconstructionObjective, cfg: SolveConfig):
     )
 
 
-def _objective(basis: OperatorBasis, a) -> ReconstructionObjective:
-    a = np.asarray(a, dtype=float)
-    check_measurement_range(basis, a)
-    return ReconstructionObjective(basis, a)
-
-
 def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None) -> SolveResult:
     """Random-restart outer loop: BFGS from fresh uniform draws until f < eps.
 
@@ -363,7 +337,7 @@ def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None
     """
     if cfg is None:
         cfg = SolveConfig()
-    obj = _objective(basis, a)
+    obj = ReconstructionObjective(basis, a)
     return _drive(
         _restart_steps(obj, cfg),
         lambda run: bfgs_minimize(obj.value, obj.gradient, run[0], cfg, f_target=cfg.eps, home=run[1]),
@@ -380,7 +354,7 @@ def solve_steps(basis: OperatorBasis, a, cfg: SolveConfig):
     bit for bit, when every answer has the bits of
     (objective.value(x), objective.gradient(x)).
     """
-    obj = _objective(basis, a)
+    obj = ReconstructionObjective(basis, a)
     yield obj
     runs = _restart_steps(obj, cfg)
     try:

@@ -256,6 +256,20 @@ class TestExp:
         assert code == EXIT_OK
         assert len([l for l in out_path.read_text().splitlines() if l]) == 2
 
+    def test_not_converged_exits_2(self, tmp_path, exp_config, capsys):
+        # one restart of one iteration solves neither row: exp still writes and
+        # summarizes both, and exits with the "not converged" code
+        cfg = json.loads(exp_config.read_text())
+        cfg["solve"] = {"max_restarts": 1, "max_iters": 1}
+        exp_config.write_text(json.dumps(cfg))
+        out_path = tmp_path / "rows.jsonl"
+        code = main(["exp", "--config", str(exp_config), "--out", str(out_path)])
+        assert code == EXIT_NOT_CONVERGED
+        rows = [json.loads(l) for l in out_path.read_text().splitlines() if l]
+        assert [(r["instance_id"], r["converged"]) for r in rows] == [(0, False), (1, False)]
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["count"], summary["convergence_rate"]) == (2, 0.0)
+
 
 class TestErrors:
     def test_missing_config(self, tmp_path, capsys):
@@ -504,8 +518,9 @@ class TestErrors:
             ('{"abs_fidelity": 0.5}', "error: row 2 has no converged\n"),
             ('{"abs_fidelity": NaN, "converged": true}', "error: row 2: abs_fidelity must be a finite real number, got nan\n"),
             ('{"abs_fidelity": 0.9, "converged": tru}', "rows.jsonl line 2: Expecting value at column 36\n"),
+            ('{"abs_fidelity": 0.9, "converged": "yes"}', "error: row 2: converged must be true or false, got 'yes'\n"),
         ],
-        ids=["list", "string_fidelity", "no_converged", "nan_fidelity", "bad_json"],
+        ids=["list", "string_fidelity", "no_converged", "nan_fidelity", "bad_json", "string_converged"],
     )
     def test_summarize_refuses_non_row(self, tmp_path, capsys, line, message):
         path = tmp_path / "rows.jsonl"

@@ -238,10 +238,11 @@ class TestRunExperiment:
             run_experiment(small_config(), threads=threads)
 
     def test_threads_match_serial(self):
-        # every field but wall_ms, on a generic, a local_full and a level-sweep suite
+        # every field but wall_ms, on a generic, a local_full, a local_chain and a level-sweep suite
         for overrides in (
             {},
             {"preset": "local_full", "n_qubits": 3, "num_instances": 4, "m_terms": None},
+            {"preset": "local_chain", "n_qubits": 3, "num_instances": 4, "m_terms": None},
             {"preset": "local_full", "n_qubits": 2, "num_instances": 1, "m_terms": None, "eigen_index_policy": "all"},
         ):
             cfg = small_config(**overrides)

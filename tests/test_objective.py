@@ -8,6 +8,7 @@ import scipy.linalg
 
 from hamlearn import linalg
 from hamlearn import objective as obj_mod
+from hamlearn.metrics import recover_eigenstate
 from hamlearn.objective import ReconstructionObjective, first_positive_gap
 from hamlearn.operators import (
     LatticeSpec,
@@ -336,6 +337,17 @@ class TestShiftedTerms:
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
         with pytest.raises(ValueError):
             ReconstructionObjective(basis, [1.0, 2.0])
+
+    def test_measurements_checked_at_construction(self):
+        # every objective, not only a solve's, refuses a bad a by name where it
+        # is built, before LAPACK meets a NaN in the first eigh
+        basis = OperatorBasis(dim=2, terms=[PAULI_Z, PAULI_Z], labels=["z", "z2"])
+        with pytest.raises(ValueError, match=r"a\[0\] = nan is not finite"):
+            ReconstructionObjective(basis, [np.nan, 0.1])
+        with pytest.raises(ValueError, match=r"a\[0\] = nan is not finite"):
+            recover_eigenstate(basis, [1.0, 1.0], [np.nan, 0.1])
+        with pytest.raises(ValueError, match=r"a\[1\] = 1.5 outside the numerical range \[-1, 1\] of term z2"):
+            ReconstructionObjective(basis, [0.1, 1.5])
 
 
 def nearly_hermitian_d256_basis() -> OperatorBasis:

@@ -5,7 +5,7 @@ import pytest
 
 from hamlearn import optimizer
 from hamlearn.objective import ReconstructionObjective
-from hamlearn.operators import OperatorBasis, basis_generic, eigenstate_measurements
+from hamlearn.operators import OperatorBasis, basis_generic, check_measurement_range, eigenstate_measurements
 from hamlearn.optimizer import (
     LINE_SEARCH_MAX_EVALS,
     SolveConfig,
@@ -14,7 +14,6 @@ from hamlearn.optimizer import (
     _drive,
     _wolfe_steps,
     bfgs_minimize,
-    check_measurement_range,
     solve_hamiltonian,
     solve_steps,
 )

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from hamlearn import objective as obj_mod
 from hamlearn.objective import ReconstructionObjective
-from hamlearn.operators import OperatorBasis, basis_generic, eigenstate_measurements
-from hamlearn.optimizer import check_measurement_range
+from hamlearn.operators import OperatorBasis, basis_generic, check_measurement_range, eigenstate_measurements
 from test_objective import exact_gradient
 
 
