@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import metrics
+from .linalg import MAX_DIM
 from .objective import evaluate_stacked, stack_operands
 from .operators import (
     GAP_TOL,
@@ -49,7 +50,7 @@ class ResultRow:
     and the ReconstructionReport fields, under the same names."""
 
     instance_id: int
-    n: Optional[int]
+    n: int
     m: int
     eigen_index: int
     fidelity: float
@@ -87,6 +88,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
         require_int("num_instances", self.num_instances, 1)
         require_int("n_qubits", self.n_qubits, 1)
+        if self.n_qubits > math.log2(MAX_DIM):  # before any row allocates its 2**n_qubits square terms
+            raise ValueError(f"n_qubits must be <= {int(math.log2(MAX_DIM))} (dimension <= {MAX_DIM}), got {self.n_qubits}")
         require_int("seed", self.seed, 0)
         # a setting no row of the preset reads is refused, not ignored
         if (self.m_terms is None) == (self.preset == "generic"):
@@ -195,13 +198,13 @@ def _start_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_in
     return basis, record, replace(cfg.solve, seed=_instance_seed(cfg.seed, row_id, 1))
 
 
-def _finish_row(row_id: int, basis, record, seed: int, result, t0: float) -> ResultRow:
+def _finish_row(cfg: ExperimentConfig, row_id: int, basis, record, seed: int, result, t0: float) -> ResultRow:
     rep = metrics.report(basis, result, record)
     solved = asdict(result)
     del solved["x_opt"]
     return ResultRow(
         instance_id=row_id,
-        n=basis.n_qubits,
+        n=cfg.n_qubits,
         m=basis.size,
         eigen_index=record.truth.eigen_index,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
@@ -215,7 +218,7 @@ def _run_row(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_inde
     t0 = time.perf_counter()
     basis, record, solve_cfg = _start_row(cfg, row_id, instance_index, eigen_index)
     result = solve_hamiltonian(basis, record.a, solve_cfg)
-    return _finish_row(row_id, basis, record, solve_cfg.seed, result, t0)
+    return _finish_row(cfg, row_id, basis, record, solve_cfg.seed, result, t0)
 
 
 def _row_steps(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_index):
@@ -224,7 +227,7 @@ def _row_steps(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_in
     t0 = time.perf_counter()
     basis, record, solve_cfg = _start_row(cfg, row_id, instance_index, eigen_index)
     result = yield from solve_steps(basis, record.a, solve_cfg)
-    return _finish_row(row_id, basis, record, solve_cfg.seed, result, t0)
+    return _finish_row(cfg, row_id, basis, record, solve_cfg.seed, result, t0)
 
 
 # Rows the lockstep worker stacks at d <= STACK_DIM_MAX; wider rows run

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-10
+ROUNDOFF_TOL = 1e-10  # an input's round-off, per unit of the larger of 1 and its scale
 
 MAX_DIM = 256
 
@@ -28,11 +28,12 @@ def as_square(mat) -> np.ndarray:
     return a
 
 
-def check_hermitian(a: np.ndarray) -> np.ndarray:
+def check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """a as a square matrix; a ValueError naming it if max|A - A^dag| exceeds the round-off of max|A_ij|."""
     a = as_square(a)
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: max|A - A^dag| = {dev:.3e} > {HERMITIAN_TOL:.1e}")
+    dev, tol = float(np.max(np.abs(a - a.conj().T))), ROUNDOFF_TOL * max(1.0, float(np.max(np.abs(a))))
+    if dev > tol:
+        raise ValueError(f"{name} is not Hermitian: max|A - A^dag| = {dev:.3e} > {tol:.1e}")
     return a
 
 

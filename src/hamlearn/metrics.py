@@ -9,8 +9,8 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .objective import ReconstructionObjective
-from .operators import GAP_TOL, MeasurementRecord, OperatorBasis, assemble, true_eigenstate
+from .objective import HS2_GAP_TOL, ReconstructionObjective
+from .operators import MeasurementRecord, OperatorBasis, assemble, true_eigenstate
 from .optimizer import SolveResult
 
 
@@ -53,15 +53,15 @@ def recover_eigenstate(basis: OperatorBasis, x, a) -> np.ndarray:
     """Ground state of Hs(x)^2 = (sum_i x_i (A_i - a_i I))^2.
 
     Returned up to global phase; the first component above 1e-8 in magnitude
-    is made real positive. A near-degenerate ground space only warns: the
-    returned vector is then one arbitrary member.
+    is made real positive. A ground gap of at most HS2_GAP_TOL only warns:
+    the returned vector is then one arbitrary member of the ground space.
     """
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0:
         raise ValueError("coefficient vector is zero")
     fwd = ReconstructionObjective(basis, a)._forward(x)
     w, u = fwd["lam"], fwd["u"]
-    if basis.dim > 1 and w[1] - w[0] < GAP_TOL:
+    if basis.dim > 1 and w[1] - w[0] <= HS2_GAP_TOL:  # levels first_positive_gap reads as one
         warnings.warn(
             f"ground space of Hs^2 nearly degenerate (gap {w[1] - w[0]:.3e}); "
             "recovered eigenstate is not unique"

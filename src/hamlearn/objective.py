@@ -22,6 +22,8 @@ import numpy as np
 from . import linalg
 from .operators import OperatorBasis, check_measurement_range
 
+HS2_GAP_TOL = 1e-12  # levels of Hs^2 closer than this count as one
+
 
 @dataclass
 class Diagnostics:
@@ -32,9 +34,9 @@ class Diagnostics:
 
 
 def first_positive_gap(spectrum: np.ndarray) -> float:
-    """First gap of an ascending spectrum exceeding 1e-12 (0.0 if none)."""
+    """First gap of an ascending spectrum of Hs^2 exceeding HS2_GAP_TOL (0.0 if none)."""
     for g in np.diff(spectrum):
-        if g > 1e-12:
+        if g > HS2_GAP_TOL:
             return float(g)
     return 0.0
 

@@ -12,8 +12,7 @@ import numpy as np
 
 from . import linalg
 
-GAP_TOL = 1e-8
-RANGE_SLACK = 1e-10  # a measurement's round-off past its term's range, per unit of spectral radius
+GAP_TOL = 1e-8  # levels of H closer than this count as one
 
 
 class DegenerateEigenstateError(ValueError):
@@ -142,7 +141,7 @@ class OperatorBasis:
             raise ValueError("labels/terms length mismatch")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        terms = [linalg.check_hermitian(t) for t in self.terms]
+        terms = [linalg.check_hermitian(t, f"term {lab}") for lab, t in zip(self.labels, self.terms)]
         for lab, t in zip(self.labels, terms):
             if t.shape[0] != self.dim:
                 raise ValueError(f"term {lab} has dimension {t.shape[0]}, expected {self.dim}")
@@ -153,11 +152,6 @@ class OperatorBasis:
     @property
     def size(self) -> int:
         return len(self.terms)
-
-    @property
-    def n_qubits(self) -> Optional[int]:
-        n = int(round(np.log2(self.dim)))
-        return n if 2**n == self.dim else None
 
     def to_json(self) -> dict:
         terms = [{"label": lab, "matrix": matrix_to_json(t)} for lab, t in zip(self.labels, self.terms)]
@@ -213,7 +207,7 @@ class MeasurementRecord:
 
 def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
     """Each a_i must be finite and lie in the numerical range of A_i, up to
-    RANGE_SLACK times the larger of 1 and A_i's spectral radius."""
+    linalg.ROUNDOFF_TOL times the larger of 1 and A_i's spectral radius."""
     a = np.asarray(a, dtype=float)
     if a.shape != (basis.size,):
         raise ValueError(f"measurement vector length {a.shape} != basis size {basis.size}")
@@ -222,7 +216,7 @@ def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
         raise ValueError(f"measurement a[{k}] = {a[k]} is not finite")
     for k, term in enumerate(basis.terms):
         w = np.linalg.eigvalsh(term)
-        slack = RANGE_SLACK * max(1.0, abs(w[0]), abs(w[-1]))
+        slack = linalg.ROUNDOFF_TOL * max(1.0, abs(w[0]), abs(w[-1]))
         if a[k] < w[0] - slack or a[k] > w[-1] + slack:
             raise ValueError(
                 f"measurement a[{k}] = {a[k]:.6g} outside the numerical range "

@@ -203,7 +203,8 @@ class TestGenSolve:
             record = MeasurementRecord.from_json(read_json(record_path))
             del payload["x_opt"]
             report = payload.pop("report")
-            identity = {"n": basis.n_qubits, "m": basis.size, "eigen_index": record.truth.eigen_index, "seed": row["seed"]}
+            assert basis.dim == 2 ** row["n"]
+            identity = {"n": row["n"], "m": basis.size, "eigen_index": record.truth.eigen_index, "seed": row["seed"]}
             assert {**payload, **report, **identity} == row
         if policy == "all":
             assert sorted(r["eigen_index"] for r in rows) == [0, 1, 2, 3]
@@ -344,6 +345,17 @@ class TestErrors:
         assert err.startswith("error: lattice leaves qubit(s) [3] without an edge") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["exp", "gen"])
+    def test_too_many_qubits_refused(self, tmp_path, capsys, command):
+        # rows wider than the supported d = 256 are refused by the key that
+        # sizes them, before any term is drawn
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "generic", "n_qubits": 9, "num_instances": 1, "m_terms": 2}))
+        code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: n_qubits must be <= 8 (dimension <= 256), got 9\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["exp", "gen"])
     def test_missing_keys_refused(self, tmp_path, capsys, command):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "generic", "n_qubits": 2, "m_terms": 2}))
@@ -408,6 +420,9 @@ class TestErrors:
              "error: basis term 0 matrix re is not a 2 x 2 array of finite numbers\n"),
             ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "im": [[0]]}}]},
              "error: basis term 0 matrix im is not a 2 x 2 array of finite numbers\n"),
+            # a term that is not Hermitian is refused by its label
+            ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "re": [[1, 1], [0, -1]]}}]},
+             "error: term A1 is not Hermitian: max|A - A^dag| = 1.000e+00 > 1.0e-10\n"),
             # a truth the basis (d = 4, two terms) cannot hold is refused before the solve
             ("record", record_with(c_true=[0.5]), "error: c_true: coefficient vector length (1,) != basis size 2\n"),
             ("record", record_with(c_true=[float("nan"), 0.5]), "error: c_true: coefficient vector [nan, 0.5] is not finite\n"),
@@ -428,7 +443,7 @@ class TestErrors:
              "error: record truth c_true entry 0 must be a number, got 'x'\n"),
         ],
         ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated",
-             "terms_number", "dim_null", "dim_missing", "label_missing", "re_one_by_one", "im_one_by_one",
+             "terms_number", "dim_null", "dim_missing", "label_missing", "re_one_by_one", "im_one_by_one", "not_hermitian",
              "c_true_short", "c_true_nan", "c_true_inf", "level_7", "level_negative", "level_float", "level_null",
              "level_degenerate", "a_ragged", "a_string", "c_true_ragged", "c_true_string"],
     )

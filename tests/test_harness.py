@@ -65,6 +65,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="out of range"):
             small_config(eigen_index_policy=4, **custom)
 
+    def test_n_qubits_beyond_max_dim_refused(self):
+        # 2**9 = 512 > linalg.MAX_DIM: refused by the config, before a draw allocates a term
+        with pytest.raises(ValueError, match=r"^n_qubits must be <= 8 \(dimension <= 256\), got 9$"):
+            small_config(n_qubits=9)
+        assert small_config(n_qubits=8).n_qubits == 8
+
     @pytest.mark.parametrize("n_qubits", [1, 3, 6])
     def test_custom_n_qubits_must_match_lattice(self, n_qubits):
         with pytest.raises(ValueError, match="differs from the lattice num_qubits 2"):

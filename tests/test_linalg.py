@@ -39,6 +39,16 @@ class TestBasics:
         with pytest.raises(ValueError):
             linalg.check_hermitian(a)
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_check_hermitian_tolerance_scales_with_largest_entry(self, scale):
+        # the round-off allowed is ROUNDOFF_TOL times the larger of 1 and max|A_ij|
+        allowed = linalg.ROUNDOFF_TOL * max(1.0, scale)
+        z = np.diag([scale, -scale])
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        linalg.check_hermitian(z + 0.9 * allowed * skew)
+        with pytest.raises(ValueError, match="^term A1 is not Hermitian"):
+            linalg.check_hermitian(z + 1.1 * allowed * skew, "term A1")
+
     def test_trace_product_matches_full_product(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -132,6 +132,26 @@ class TestReport:
         w, _ = true_eigenstate(basis, c, 4)
         assert abs(abs(rep.lambda_hat) - abs(w[4]) / np.linalg.norm(c)) < 1e-3
 
+    def test_large_scale_terms_hermitian_to_round_off(self):
+        # U diag(1e6 w) U^dag plus an anti-Hermitian part of 2e-10, a couple of
+        # ulps of its 1e6 entries: max|A - A^dag| is above an absolute 1e-10 but
+        # round-off at the terms' scale, so the basis is accepted and solved
+        rng = np.random.default_rng(16)
+        ulps = 2e-10j * (np.ones((4, 4)) - np.eye(4))
+        terms = []
+        for _ in range(2):
+            u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            terms.append(u @ np.diag(1e6 * rng.uniform(-1, 1, 4)) @ u.conj().T + ulps)
+        assert min(np.max(np.abs(t - t.conj().T)) for t in terms) > 1e-10
+        basis = OperatorBasis(dim=4, terms=terms, labels=["A1", "A2"])
+        rec = eigenstate_measurements(basis, rng.uniform(0, 1, 2), int(rng.integers(4)))
+        result = solve_hamiltonian(basis, rec.a, SolveConfig(seed=0))
+        assert result.converged
+        assert report(basis, result, rec).abs_fidelity > 0.999
+        # an anti-Hermitian part of 2e-3 is far above the round-off of entries near 1e6
+        with pytest.raises(ValueError, match="^term A2 is not Hermitian"):
+            OperatorBasis(dim=4, terms=[terms[0], terms[1] + 1e7 * ulps], labels=["A1", "A2"])
+
     def test_requires_truth(self):
         rng = np.random.default_rng(419)
         basis = basis_generic(4, 2, rng)

@@ -129,6 +129,23 @@ def relative_error(g, ref):
     return np.linalg.norm(g - ref) / np.linalg.norm(ref)
 
 
+def near_degenerate_pair():
+    """(basis, a, x) where the two lowest levels of Hs^2 differ by about 2e-9.
+
+    Hs = H(x) - (x . a) I; x . a is placed a hair off the midpoint of two
+    adjacent eigenvalues of H(x).
+    """
+    rng = np.random.default_rng(211)
+    d, m = 8, 3
+    basis = basis_generic(d, m, rng)
+    x = rng.normal(size=m) * 2
+    h = np.linalg.eigvalsh(sum(xi * t for xi, t in zip(x, basis.terms)))
+    shift = (h[3] + h[4]) / 2 + 1e-9 / (h[4] - h[3])
+    a = rng.uniform(-1, 1, m)
+    a[0] = (shift - x[1:] @ a[1:]) / x[0]
+    return basis, a, x
+
+
 class TestGradientOracle:
     @pytest.mark.parametrize("d", [4, 8, 16])
     def test_matches_exact_reference(self, d):
@@ -145,17 +162,7 @@ class TestGradientOracle:
                 assert relative_error(obj.gradient(x), exact_gradient(obj, x)) < 1e-10
 
     def test_near_degenerate_pair(self):
-        # Hs = H(x) - (x . a) I; placing x . a a hair off the midpoint of two
-        # adjacent eigenvalues of H(x) makes the two lowest levels of Hs^2
-        # differ by about 2e-9.
-        rng = np.random.default_rng(211)
-        d, m = 8, 3
-        basis = basis_generic(d, m, rng)
-        x = rng.normal(size=m) * 2
-        h = np.linalg.eigvalsh(sum(xi * t for xi, t in zip(x, basis.terms)))
-        shift = (h[3] + h[4]) / 2 + 1e-9 / (h[4] - h[3])
-        a = rng.uniform(-1, 1, m)
-        a[0] = (shift - x[1:] @ a[1:]) / x[0]
+        basis, a, x = near_degenerate_pair()
         obj = ReconstructionObjective(basis, a)
         spectrum = obj.diagnostics(x).spectrum
         assert 0 < spectrum[1] - spectrum[0] < 1e-8
@@ -232,6 +239,17 @@ class TestGraphAndDiagnostics:
     def test_first_positive_gap(self):
         assert first_positive_gap(np.array([0.0, 0.0, 1.5, 2.0])) == 1.5
         assert first_positive_gap(np.array([1.0, 1.0])) == 0.0
+
+    def test_one_threshold_for_hs2_levels(self):
+        # diagnostics and recover_eigenstate read Hs^2's levels with one
+        # threshold: a ground gap of 2e-9 that diagnostics reports as the
+        # first positive gap is not warned about as degenerate
+        basis, a, x = near_degenerate_pair()
+        spectrum = ReconstructionObjective(basis, a).diagnostics(x).spectrum
+        assert first_positive_gap(spectrum) == spectrum[1] - spectrum[0] < 1e-8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recover_eigenstate(basis, x, a)
 
 
 def generic_objective(seed=5, d=8, m=3):

@@ -129,7 +129,6 @@ class TestBases:
         assert basis.size == 3
         assert basis.dim == 8
         assert basis.labels == ["A1", "A2", "A3"]
-        assert basis.n_qubits == 3
 
     def test_two_local_chain(self):
         rng = np.random.default_rng(43)
