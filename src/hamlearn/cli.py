@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--measurements", required=True)
     p_solve.add_argument("--config", default=None)
     p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--seed", type=int, default=None)
+    p_solve.add_argument("--seed", type=int, default=None, help="seed of the restart draws; without it they come "
+                         "from fresh entropy, so two runs can differ. An exp row's seed, with that exp's --config, "
+                         "reproduces the row")
     p_solve.set_defaults(func=cmd_solve)
 
     p_exp = sub.add_parser("exp", help="run a full experiment suite")

@@ -23,14 +23,13 @@ from . import metrics
 from .linalg import MAX_DIM
 from .objective import evaluate_stacked, stack_operands
 from .operators import (
-    GAP_TOL,
     DegenerateEigenstateError,
     LatticeSpec,
-    assemble,
     basis_generic,
     basis_two_local,
     eigenstate_measurements,
     json_object,
+    levels_separated,
     require_int,
     require_json,
     require_keys,
@@ -178,7 +177,7 @@ def draw_instance(cfg: ExperimentConfig, instance_index: int, eigen_index):
     sweep = cfg.eigen_index_policy == "all"
     for _ in range(MAX_REDRAWS):
         basis, c_true = _draw_instance(cfg, rng)
-        if sweep and not np.all(np.diff(np.linalg.eigvalsh(assemble(basis, c_true))) > GAP_TOL):
+        if sweep and not levels_separated(basis, c_true):
             continue  # a sweep needs every level non-degenerate; redraw the Hamiltonian
         if eigen_index is None:
             levels = (int(rng.integers(basis.dim)) for _ in range(MAX_REDRAWS))
@@ -203,14 +202,8 @@ def _finish_row(cfg: ExperimentConfig, row_id: int, basis, record, seed: int, re
     solved = asdict(result)
     del solved["x_opt"]
     return ResultRow(
-        instance_id=row_id,
-        n=cfg.n_qubits,
-        m=basis.size,
-        eigen_index=record.truth.eigen_index,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=seed,
-        **solved,
-        **asdict(rep),
+        instance_id=row_id, n=cfg.n_qubits, m=basis.size, eigen_index=record.truth.eigen_index, seed=seed,
+        wall_ms=(time.perf_counter() - t0) * 1000.0, **solved, **asdict(rep),
     )
 
 

@@ -13,6 +13,8 @@ from .objective import HS2_GAP_TOL, ReconstructionObjective
 from .operators import MeasurementRecord, OperatorBasis, assemble, true_eigenstate
 from .optimizer import SolveResult
 
+PHASE_TOL = 1e-8  # recover_eigenstate makes the first component above this in magnitude real positive
+
 
 @dataclass
 class ReconstructionReport:
@@ -52,9 +54,10 @@ def recover_eigenvalue(x, a) -> float:
 def recover_eigenstate(basis: OperatorBasis, x, a) -> np.ndarray:
     """Ground state of Hs(x)^2 = (sum_i x_i (A_i - a_i I))^2.
 
-    Returned up to global phase; the first component above 1e-8 in magnitude
-    is made real positive. A ground gap of at most HS2_GAP_TOL only warns:
-    the returned vector is then one arbitrary member of the ground space.
+    Returned up to global phase; the first component above PHASE_TOL in
+    magnitude is made real positive. A ground gap of at most HS2_GAP_TOL
+    only warns: the returned vector is then one arbitrary member of the
+    ground space.
     """
     x = np.asarray(x, dtype=float)
     if np.linalg.norm(x) == 0:
@@ -67,11 +70,8 @@ def recover_eigenstate(basis: OperatorBasis, x, a) -> np.ndarray:
             "recovered eigenstate is not unique"
         )
     psi = u[:, 0]
-    for comp in psi:
-        if abs(comp) > 1e-8:
-            psi = psi * (comp.conjugate() / abs(comp))
-            break
-    return psi
+    comp = psi[np.flatnonzero(np.abs(psi) > PHASE_TOL)[0]]  # some |psi_k| >= 1/sqrt(d)
+    return psi * (comp.conjugate() / abs(comp))
 
 
 def report(basis: OperatorBasis, solve_result: SolveResult, record: MeasurementRecord) -> ReconstructionReport:
@@ -86,9 +86,4 @@ def report(basis: OperatorBasis, solve_result: SolveResult, record: MeasurementR
     psi_hat = recover_eigenstate(basis, solve_result.x_opt, record.a)
     _, psi_true = true_eigenstate(basis, truth.c_true, truth.eigen_index)
     overlap = float(abs(psi_hat.conj() @ psi_true) ** 2)
-    return ReconstructionReport(
-        fidelity=fid,
-        abs_fidelity=abs(fid),
-        lambda_hat=lam_hat,
-        state_overlap=overlap,
-    )
+    return ReconstructionReport(fidelity=fid, abs_fidelity=abs(fid), lambda_hat=lam_hat, state_overlap=overlap)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import linalg
 
-GAP_TOL = 1e-8  # levels of H closer than this count as one
+GAP_TOL = 1e-8  # adjacent levels of H at most this far apart count as one (see separated)
 
 
 class DegenerateEigenstateError(ValueError):
@@ -37,8 +37,9 @@ def require_json(name: str, value, kind: type = dict) -> None:
 def require_numbers(name: str, value) -> np.ndarray:
     """The float array of value; ValueError unless it is a list whose every entry is a number (no bool)."""
     require_json(name, value, list)
-    for k, v in enumerate(value):
-        require_json(f"{name} entry {k}", v, numbers.Real)
+    if not all(type(v) is float or type(v) is int for v in value):  # JSON's numbers pass without the slower check
+        for k, v in enumerate(value):
+            require_json(f"{name} entry {k}", v, numbers.Real)
     return np.asarray(value, dtype=float)
 
 
@@ -109,18 +110,18 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 def matrix_from_json(obj, d: int, name: str) -> np.ndarray:
     """The complex matrix of a {"re", "im"} payload. Each part is checked on
-    its own, since numpy would broadcast a 1 x 1 part against a d x d one;
-    name (the term) is in the ValueError raised where either part is not a
-    d x d array of finite numbers."""
+    its own, since numpy would broadcast a 1 x 1 part against a d x d one,
+    and each entry as require_numbers checks one, since numpy would read a
+    bool or a numeric string as a number; name (the term) is in the
+    ValueError raised where either part is not a d x d array of finite numbers."""
     require_json(name, obj)
     parts = []
     for part in ("re", "im"):
-        require_json(f"{name} {part}", obj.get(part), list)
-        try:
-            a = np.asarray(obj[part], dtype=float)
-        except (TypeError, ValueError):  # ragged, or an entry that is not a number
-            a = None
-        if a is None or a.shape != (d, d) or not np.all(np.isfinite(a)):
+        rows = obj.get(part)
+        require_json(f"{name} {part}", rows, list)
+        square = len(rows) == d and all(isinstance(row, list) and len(row) == d for row in rows)
+        a = np.array([require_numbers(f"{name} {part} row {i}", row) for i, row in enumerate(rows)]) if square else None
+        if a is None or not np.all(np.isfinite(a)):
             raise ValueError(f"{name} {part} is not a {d} x {d} array of finite numbers")
         parts.append(a)
     return parts[0] + 1j * parts[1]
@@ -283,12 +284,22 @@ def assemble(basis: OperatorBasis, c: Sequence[float]) -> np.ndarray:
     return h
 
 
+def separated(gaps) -> bool:
+    """Whether every gap between adjacent levels of H exceeds GAP_TOL; a gap of at most GAP_TOL is degenerate."""
+    return bool(np.all(gaps > GAP_TOL))
+
+
+def levels_separated(basis: OperatorBasis, c: Sequence[float]) -> bool:
+    """Whether every level of H(c) is separated from its neighbours, as a level sweep needs; c must pass assemble."""
+    return separated(np.diff(np.linalg.eigvalsh(assemble(basis, c))))
+
+
 def true_eigenstate(basis: OperatorBasis, c: Sequence[float], eigen_index) -> tuple:
     """(w, psi): the ascending spectrum of H(c) and its eigen_index-th eigenvector.
 
     c (a truth's c_true) must pass assemble. eigen_index must be an integer
     in [0, basis.dim), and its level must be separated from both neighbours
-    by more than GAP_TOL: the reconstruction target is not unique in a
+    (see separated): the reconstruction target is not unique in a
     (near-)degenerate level.
     """
     require_int("eigen_index", eigen_index)
@@ -300,7 +311,7 @@ def true_eigenstate(basis: OperatorBasis, c: Sequence[float], eigen_index) -> tu
         raise ValueError(f"c_true: {exc}") from None
     w, u = np.linalg.eigh(h)
     gaps = np.diff(w)[max(eigen_index - 1, 0) : eigen_index + 1]
-    if np.any(gaps <= GAP_TOL):
+    if not separated(gaps):
         raise DegenerateEigenstateError(f"eigenvalue {eigen_index} is degenerate (gap {gaps.min():.3e} to a neighbour)")
     return w, u[:, eigen_index]
 

@@ -24,6 +24,8 @@ HOPS_PER_RESTART = 12  # outward basin-hop proposals after each stall
 # would have solved its row and 6 would have ended below f*; at 0.3, 2 of
 # 1490 would have solved it and 27 ended lower, at 0.4, 8 and 103 of 2882.
 RETURN_RADIUS = 0.2
+GRAD_NORM_STOP = 1e-12  # a run stops below this gradient norm: its line search would divide by ||p||
+CURVATURE_FLOOR = 1e-12  # the BFGS update divides by s.y, and is skipped unless s.y exceeds this
 
 
 @dataclass
@@ -69,7 +71,7 @@ class BfgsOutcome(NamedTuple):
     iterations: int
     inv_hessian: np.ndarray
     # why the run ended. target: f below f_target; gradient: gradient norm
-    # below 1e-12; iter_cap: cfg.max_iters iterations; line_search: a line
+    # below GRAD_NORM_STOP; iter_cap: cfg.max_iters iterations; line_search: a line
     # search failed; norm_cap: a step left ITERATE_NORM_CAP; returned: a hop
     # fell back home
     stop: str
@@ -192,7 +194,7 @@ def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: float, home: Optiona
         if fx < f_target:
             stop = "target"
             break
-        if gnorm < 1e-12:
+        if gnorm < GRAD_NORM_STOP:
             stop = "gradient"
             break
         if iterations == cfg.max_iters:
@@ -218,7 +220,7 @@ def _bfgs_steps(x0: np.ndarray, cfg: SolveConfig, f_target: float, home: Optiona
             break
         y = g_new - gx
         sy = float(s @ y)
-        if sy > 1e-12:
+        if sy > CURVATURE_FLOOR:
             if first_update:
                 h = (sy / float(y @ y)) * np.eye(n)
                 first_update = False
@@ -248,7 +250,7 @@ def bfgs_minimize(
     flat tail of the reconstruction objective has small gradients well
     before the objective itself is small, so no gradient threshold stands in
     for it, and f_target = -inf minimises plainly); also at a gradient norm
-    below 1e-12, at the iteration cap, on line-search failure and past
+    below GRAD_NORM_STOP, at the iteration cap, on line-search failure and past
     ITERATE_NORM_CAP. A basin hop passes its home (x*, f*), the minimum it
     was proposed from, and stops as returned after the first iteration that
     lands within RETURN_RADIUS * ||x*|| of x* with f >= f*: it has fallen

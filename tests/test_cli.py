@@ -420,6 +420,14 @@ class TestErrors:
              "error: basis term 0 matrix re is not a 2 x 2 array of finite numbers\n"),
             ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "im": [[0]]}}]},
              "error: basis term 0 matrix im is not a 2 x 2 array of finite numbers\n"),
+            # an entry that is not a number is refused by term, part and entry, not read by numpy as one
+            ("basis", {"dim": 2, "terms": [{"label": "A1", "matrix": {"re": [["1", "0"], ["0", "-1"]],
+                                                                     "im": [[False, False], [False, False]]}}]},
+             "error: basis term 0 matrix re row 0 entry 0 must be a number, got '1'\n"),
+            ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "im": [[False, False]] * 2}}]},
+             "error: basis term 0 matrix im row 0 entry 0 must be a number, got False\n"),
+            ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "re": [[1, True], [1, -1]]}}]},
+             "error: basis term 0 matrix re row 0 entry 1 must be a number, got True\n"),
             # a term that is not Hermitian is refused by its label
             ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "re": [[1, 1], [0, -1]]}}]},
              "error: term A1 is not Hermitian: max|A - A^dag| = 1.000e+00 > 1.0e-10\n"),
@@ -443,7 +451,8 @@ class TestErrors:
              "error: record truth c_true entry 0 must be a number, got 'x'\n"),
         ],
         ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated",
-             "terms_number", "dim_null", "dim_missing", "label_missing", "re_one_by_one", "im_one_by_one", "not_hermitian",
+             "terms_number", "dim_null", "dim_missing", "label_missing", "re_one_by_one", "im_one_by_one",
+             "re_strings", "im_bools", "re_mixed_row", "not_hermitian",
              "c_true_short", "c_true_nan", "c_true_inf", "level_7", "level_negative", "level_float", "level_null",
              "level_degenerate", "a_ragged", "a_string", "c_true_ragged", "c_true_string"],
     )

@@ -22,7 +22,17 @@ from hamlearn.harness import (
     write_rows,
 )
 from hamlearn.objective import ReconstructionObjective, stack_operands
-from hamlearn.operators import LatticeSpec, OperatorBasis, basis_generic, eigenstate_measurements, read_json
+from hamlearn.operators import (
+    GAP_TOL,
+    DegenerateEigenstateError,
+    LatticeSpec,
+    OperatorBasis,
+    basis_generic,
+    eigenstate_measurements,
+    levels_separated,
+    read_json,
+    true_eigenstate,
+)
 from hamlearn.optimizer import SolveConfig
 
 
@@ -208,6 +218,26 @@ class TestDrawInstance:
             assert all(k in (0, 1) for k in tried[:-1])
             attempts.append(len(tried))
         assert max(attempts) > 1
+
+    @pytest.mark.parametrize("gap", [GAP_TOL, np.nextafter(GAP_TOL, 1.0)], ids=["at_gap_tol", "one_ulp_above"])
+    def test_gap_tol_boundary(self, monkeypatch, gap):
+        # levels exactly GAP_TOL apart are one level for the sweep and for
+        # true_eigenstate alike; one ulp further apart they are two for both
+        basis, c = OperatorBasis(dim=4, terms=[np.diag([0.0, gap, 1.0, 2.0])], labels=["D"]), np.ones(1)
+        assert true_eigenstate(basis, c, 3)[0][1] == gap  # eigh of a diagonal H is exact
+        monkeypatch.setattr(harness, "_draw_instance", lambda cfg, rng: (basis, c))
+        sweep = small_config(eigen_index_policy="all")
+        assert harness.draw_instance(small_config(eigen_index_policy=2), 0, 2)[1].truth.eigen_index == 2
+        if gap == GAP_TOL:
+            assert not levels_separated(basis, c)
+            with pytest.raises(DegenerateEigenstateError, match=r"^eigenvalue 0 is degenerate \(gap 1\.000e-08 "):
+                true_eigenstate(basis, c, 0)
+            with pytest.raises(RuntimeError, match="could not draw a non-degenerate instance"):
+                harness.draw_instance(sweep, 0, 2)  # level 2 alone is separated; the sweep needs every level
+        else:
+            assert levels_separated(basis, c)
+            true_eigenstate(basis, c, 0)
+            assert harness.draw_instance(sweep, 0, 0)[1].truth.eigen_index == 0
 
     def test_gives_up_after_max_redraws(self, monkeypatch):
         draws = []

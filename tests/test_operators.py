@@ -324,12 +324,23 @@ class TestSerialization:
             ({"re": [[1]], "im": zero}, 2, "re"),
             ({"re": zero, "im": [[0]]}, 2, "im"),
             ({"re": zero, "im": [[0, 0], [0]]}, 2, "im"),
-            ({"re": zero, "im": [["a", 0], [0, 0]]}, 2, "im"),
-            ({"re": [[None, 0], [0, 0]], "im": zero}, 2, "re"),  # JSON null reads as NaN
+            ({"re": [[float("nan"), 0], [0, 0]], "im": zero}, 2, "re"),
         ]:
             with pytest.raises(ValueError) as info:
                 matrix_from_json(payload, d, "term A1 matrix")
             assert str(info.value) == f"term A1 matrix {part} is not a {d} x {d} array of finite numbers"
+        # each entry must be a number as require_numbers reads one: numpy would
+        # read null as NaN, and a bool or a numeric string as a number
+        for payload, where in [
+            ({"re": zero, "im": [["a", 0], [0, 0]]}, "im row 0 entry 0 must be a number, got 'a'"),
+            ({"re": [[None, 0], [0, 0]], "im": zero}, "re row 0 entry 0 must be a number, got None"),
+            ({"re": [["1", "0"], ["0", "-1"]], "im": zero}, "re row 0 entry 0 must be a number, got '1'"),
+            ({"re": [[1, 0], [0, -1]], "im": [[False, False]] * 2}, "im row 0 entry 0 must be a number, got False"),
+            ({"re": [[1, True], [1, -1]], "im": zero}, "re row 0 entry 1 must be a number, got True"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                matrix_from_json(payload, 2, "term A1 matrix")
+            assert str(info.value) == f"term A1 matrix {where}"
 
     def test_record_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)

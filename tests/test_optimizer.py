@@ -136,7 +136,7 @@ class TestBfgs:
     def test_quadratic(self):
         f, g, sol = quadratic()
         out = bfgs_minimize(f, g, np.array([5.0, 5.0]), SolveConfig(), f_target=-np.inf)
-        assert out.grad_norm < 1e-12
+        assert out.grad_norm < optimizer.GRAD_NORM_STOP
         assert out.stop == "gradient"
         assert np.linalg.norm(out.x - sol) < 1e-5
 
