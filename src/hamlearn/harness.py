@@ -12,7 +12,6 @@ from __future__ import annotations
 import collections
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence
@@ -20,7 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import metrics
-from .linalg import MAX_DIM
 from .objective import evaluate_stacked, stack_operands
 from .operators import (
     DegenerateEigenstateError,
@@ -30,9 +28,11 @@ from .operators import (
     eigenstate_measurements,
     json_object,
     levels_separated,
+    require_float,
     require_int,
     require_json,
     require_keys,
+    require_qubits,
 )
 from .optimizer import SolveConfig, solve_hamiltonian, solve_steps
 
@@ -86,9 +86,7 @@ class ExperimentConfig:
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
         require_int("num_instances", self.num_instances, 1)
-        require_int("n_qubits", self.n_qubits, 1)
-        if self.n_qubits > math.log2(MAX_DIM):  # before any row allocates its 2**n_qubits square terms
-            raise ValueError(f"n_qubits must be <= {int(math.log2(MAX_DIM))} (dimension <= {MAX_DIM}), got {self.n_qubits}")
+        require_qubits("n_qubits", self.n_qubits, 1)
         require_int("seed", self.seed, 0)
         # a setting no row of the preset reads is refused, not ignored
         if (self.m_terms is None) == (self.preset == "generic"):
@@ -113,23 +111,13 @@ class ExperimentConfig:
         require_json("experiment config", obj)
         obj = dict(obj)
         if obj.get("lattice") is not None:
-            obj["lattice"] = _lattice_from_dict(obj["lattice"])
+            obj["lattice"] = LatticeSpec.from_json(obj["lattice"])
         if obj.get("solve") is None:  # null means the default settings, like an absent key
             obj.pop("solve", None)
         else:
             obj["solve"] = SolveConfig.from_dict(obj["solve"])
         require_keys("experiment-config", obj, cls)
         return cls(**obj)
-
-
-def _lattice_from_dict(lat) -> LatticeSpec:
-    """The LatticeSpec of a config's {"num_qubits": n, "edges": [[i, j], ...]}."""
-    if not isinstance(lat, dict) or set(lat) != {"num_qubits", "edges"}:
-        raise ValueError(f"lattice must be an object with keys num_qubits and edges, got {lat!r}")
-    edges = lat["edges"]
-    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
-        raise ValueError(f"lattice edges must be a list of [i, j] qubit pairs, got {edges!r}")
-    return LatticeSpec(lat["num_qubits"], tuple(tuple(e) for e in edges))
 
 
 def _instance_seed(master: int, row_id: int, stream: int) -> int:
@@ -343,9 +331,8 @@ def summarize(rows) -> dict:
         for key in ("abs_fidelity", "converged"):
             if key not in r:
                 raise ValueError(f"row {i} has no {key}")
-        v = r["abs_fidelity"]
-        if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-            raise ValueError(f"row {i}: abs_fidelity must be a finite real number, got {v!r}")
+        if not math.isfinite(require_float(f"row {i}: abs_fidelity", r["abs_fidelity"])):
+            raise ValueError(f"row {i}: abs_fidelity must be a finite real number, got {r['abs_fidelity']!r}")
         if not isinstance(r["converged"], bool):
             raise ValueError(f"row {i}: converged must be true or false, got {r['converged']!r}")
     fid = np.array([r["abs_fidelity"] for r in rows])

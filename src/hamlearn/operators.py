@@ -13,6 +13,7 @@ import numpy as np
 from . import linalg
 
 GAP_TOL = 1e-8  # adjacent levels of H at most this far apart count as one (see separated)
+MAX_QUBITS = linalg.MAX_DIM.bit_length() - 1  # the widest register: dimension 2**MAX_QUBITS = linalg.MAX_DIM
 
 
 class DegenerateEigenstateError(ValueError):
@@ -34,13 +35,31 @@ def require_json(name: str, value, kind: type = dict) -> None:
         raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
+def require_float(name: str, value) -> float:
+    """float(value); ValueError unless value is a number (no bool) that a float64 holds, NaN and +-inf included."""
+    require_json(name, value, numbers.Real)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must fit a float64, got a {len(str(abs(value)))}-digit integer") from None
+
+
 def require_numbers(name: str, value) -> np.ndarray:
-    """The float array of value; ValueError unless it is a list whose every entry is a number (no bool)."""
+    """The float array of value; ValueError unless it is a list whose every entry passes require_float."""
     require_json(name, value, list)
-    if not all(type(v) is float or type(v) is int for v in value):  # JSON's numbers pass without the slower check
-        for k, v in enumerate(value):
-            require_json(f"{name} entry {k}", v, numbers.Real)
-    return np.asarray(value, dtype=float)
+    try:  # JSON's numbers pass without the slower check, which names an offender
+        if all(type(v) is float or type(v) is int for v in value):
+            return np.asarray(value, dtype=float)
+    except OverflowError:  # an integer past a float64's range
+        pass
+    return np.array([require_float(f"{name} entry {k}", v) for k, v in enumerate(value)])
+
+
+def require_qubits(name: str, n, minimum: int) -> None:
+    """Raise ValueError unless n is an integer >= minimum whose register, of dimension 2**n, linalg accepts."""
+    require_int(name, n, minimum)
+    if n > MAX_QUBITS:  # before anything is sized by it
+        raise ValueError(f"{name} must be <= {MAX_QUBITS} (dimension <= {linalg.MAX_DIM}), got {n}")
 
 
 def require_keys(name: str, obj: dict, cls: type) -> None:
@@ -53,13 +72,16 @@ def require_keys(name: str, obj: dict, cls: type) -> None:
 
 
 def json_object(text: str, where: str) -> dict:
-    """The JSON object text holds; where (a file, or a line of one) names
-    it in the ValueError a syntax error or a non-object raises."""
+    """The JSON object text holds; where (a file, or a line of one) names it in the one ValueError raised for
+    a non-object and for anything json.loads refuses: a syntax error (at its line and column), nesting past
+    the recursion limit, an integer past Python's digit limit."""
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         at = f"column {exc.colno}" if exc.lineno == 1 else f"line {exc.lineno} column {exc.colno}"
         raise ValueError(f"{where}: {exc.msg} at {at}") from None
+    except (RecursionError, ValueError) as exc:  # the text past a ';' advises Python callers
+        raise ValueError(f"{where}: {str(exc).partition(';')[0]}") from None
     require_json(where, value)
     return value
 
@@ -78,9 +100,7 @@ class LatticeSpec:
     edges: tuple
 
     def __post_init__(self):
-        require_int("lattice num_qubits", self.num_qubits)
-        if self.num_qubits < 2:
-            raise ValueError("lattice needs at least 2 qubits")
+        require_qubits("lattice num_qubits", self.num_qubits, 2)
         seen = set()
         for i, j in self.edges:
             require_int("lattice edge qubit", i)
@@ -94,6 +114,16 @@ class LatticeSpec:
         bare = sorted(set(range(1, self.num_qubits + 1)).difference(*seen))
         if bare:
             raise ValueError(f"lattice leaves qubit(s) {bare} without an edge, so every level would be degenerate")
+
+    @classmethod
+    def from_json(cls, obj) -> "LatticeSpec":
+        """The lattice of a config's {"num_qubits": n, "edges": [[i, j], ...]}."""
+        if not isinstance(obj, dict) or set(obj) != {"num_qubits", "edges"}:
+            raise ValueError(f"lattice must be an object with keys num_qubits and edges, got {obj!r}")
+        edges = obj["edges"]
+        if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise ValueError(f"lattice edges must be a list of [i, j] qubit pairs, got {edges!r}")
+        return cls(obj["num_qubits"], tuple(tuple(e) for e in edges))
 
     @classmethod
     def chain(cls, n: int) -> "LatticeSpec":

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .objective import ReconstructionObjective, first_positive_gap
-from .operators import OperatorBasis, require_int, require_json, require_keys
+from .operators import OperatorBasis, require_float, require_int, require_json, require_keys
 
 # Fixed solver settings, read at call time. Only the acceptance threshold,
 # the budgets and the seed are configurable (SolveConfig).
@@ -36,9 +35,8 @@ class SolveConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        eps = self.eps
-        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 < eps < math.inf:
-            raise ValueError(f"eps must be a finite positive number, got {eps!r}")
+        if not 0 < require_float("eps", self.eps) < math.inf:
+            raise ValueError(f"eps must be a finite positive number, got {self.eps!r}")
         require_int("max_iters", self.max_iters, 1)
         require_int("max_restarts", self.max_restarts, 1)
         if self.seed is not None:

@@ -39,6 +39,9 @@ NO_SOLVE_KEY = object()
 TERM = {"label": "A1", "matrix": {"re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]]}}
 
 
+DIGITS_401 = 10**400  # no float64 holds it, as none holds 1e400
+
+
 def record_with(**truth) -> dict:
     truth = {"c_true": [0.5, 0.5], "eigen_index": 0, **truth}
     return {"a": [0.5, 0.5], "truth": truth}
@@ -292,7 +295,9 @@ class TestErrors:
             ("eigen_index_policy", True, "bad eigen_index_policy"),
             ("solve", {"max_restarts": 1.5}, "max_restarts must be an integer"),
             ("solve", {"hops_per_restart": 12}, "unknown solve-config keys"),
-            ("solve", {"eps": "1e-8"}, "eps must be a finite positive number"),
+            ("solve", {"eps": "1e-8"}, "eps must be a number, got '1e-8'"),
+            # an integer no float64 holds is refused like 1e400, not read as a huge eps
+            ("solve", {"eps": DIGITS_401}, "eps must fit a float64, got a 401-digit integer"),
             # settings no row reads: local_full runs m = 1 whatever m_terms says, generic draws no lattice
             ("preset", "local_full", "m_terms is needed by preset generic and refused"),
             ("lattice", {"num_qubits": 2, "edges": [[1, 2]]}, "lattice is needed by preset custom and refused"),
@@ -302,7 +307,7 @@ class TestErrors:
             ("out_path", "rows.jsonl", "unknown experiment-config keys: ['out_path']"),
         ],
         ids=["num_instances_float", "n_qubits_float", "policy_bool", "max_restarts_float", "removed_solve_key",
-             "eps_string", "m_terms_local_full", "lattice_generic", "level_sweep", "removed_out_path"],
+             "eps_string", "eps_401_digits", "m_terms_local_full", "lattice_generic", "level_sweep", "removed_out_path"],
     )
     def test_exp_rejects_bad_values(self, tmp_path, exp_config, capsys, key, value, message):
         cfg = json.loads(exp_config.read_text())
@@ -322,15 +327,20 @@ class TestErrors:
             (5, "lattice must be an object with keys num_qubits and edges"),
             # the config's n_qubits is 2: it sizes the rows, so the lattice must agree
             ({"num_qubits": 3, "edges": [[1, 2], [2, 3]]}, "n_qubits 2 differs from the lattice num_qubits 3"),
+            # capped like n_qubits, before any per-qubit check lists its qubits
+            ({"num_qubits": 100000, "edges": [[1, 2], [2, 3]]},
+             "lattice num_qubits must be <= 8 (dimension <= 256), got 100000"),
         ],
-        ids=["num_qubits_float", "edges_strings", "qubit_strings", "key_misspelt", "number", "num_qubits_differs"],
+        ids=["num_qubits_float", "edges_strings", "qubit_strings", "key_misspelt", "number", "num_qubits_differs",
+             "num_qubits_100000"],
     )
     def test_exp_rejects_malformed_lattice(self, tmp_path, exp_config, capsys, lattice, message):
         cfg = {**json.loads(exp_config.read_text()), "preset": "custom", "m_terms": None, "lattice": lattice}
         exp_config.write_text(json.dumps(cfg))
         code = main(["exp", "--config", str(exp_config), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
         assert code == EXIT_CONFIG_ERROR
-        assert message in capsys.readouterr().err
+        assert message in err and err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.parametrize("command", ["exp", "gen"])
     def test_bare_qubit_lattice_refused(self, tmp_path, capsys, command):
@@ -449,12 +459,23 @@ class TestErrors:
              "error: record truth c_true entry 0 must be a number, got [0.5]\n"),
             ("record", record_with(c_true=["x", 0.1]),
              "error: record truth c_true entry 0 must be a number, got 'x'\n"),
+            # an integer no float64 holds is refused by its entry, not by an OverflowError
+            ("record", {"a": [DIGITS_401, 0.1], "truth": None},
+             "error: record a entry 0 must fit a float64, got a 401-digit integer\n"),
+            ("record", record_with(c_true=[0.5, -DIGITS_401]),
+             "error: record truth c_true entry 1 must fit a float64, got a 401-digit integer\n"),
+            ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "re": [[1, 0], [0, DIGITS_401]]}}]},
+             "error: basis term 0 matrix re row 1 entry 1 must fit a float64, got a 401-digit integer\n"),
+            ("config", {"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 2,
+                        "solve": {"eps": DIGITS_401}},
+             "error: eps must fit a float64, got a 401-digit integer\n"),
         ],
         ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated",
              "terms_number", "dim_null", "dim_missing", "label_missing", "re_one_by_one", "im_one_by_one",
              "re_strings", "im_bools", "re_mixed_row", "not_hermitian",
              "c_true_short", "c_true_nan", "c_true_inf", "level_7", "level_negative", "level_float", "level_null",
-             "level_degenerate", "a_ragged", "a_string", "c_true_ragged", "c_true_string"],
+             "level_degenerate", "a_ragged", "a_string", "c_true_ragged", "c_true_string", "a_401_digits",
+             "c_true_401_digits", "re_401_digits", "eps_401_digits"],
     )
     def test_solve_rejects_bad_files(self, tmp_path, exp_config, capsys, monkeypatch, name, text, message):
         instances = tmp_path / "instances"
@@ -538,13 +559,16 @@ class TestErrors:
         "line, message",
         [
             ("[1, 2]", "line 2 must be a JSON object, got [1, 2]\n"),
-            ('{"abs_fidelity": "x", "converged": true}', "error: row 2: abs_fidelity must be a finite real number, got 'x'\n"),
+            ('{"abs_fidelity": "x", "converged": true}', "error: row 2: abs_fidelity must be a number, got 'x'\n"),
             ('{"abs_fidelity": 0.5}', "error: row 2 has no converged\n"),
             ('{"abs_fidelity": NaN, "converged": true}', "error: row 2: abs_fidelity must be a finite real number, got nan\n"),
             ('{"abs_fidelity": 0.9, "converged": tru}', "rows.jsonl line 2: Expecting value at column 36\n"),
             ('{"abs_fidelity": 0.9, "converged": "yes"}', "error: row 2: converged must be true or false, got 'yes'\n"),
+            ('{"abs_fidelity": %d, "converged": true}' % DIGITS_401,
+             "error: row 2: abs_fidelity must fit a float64, got a 401-digit integer\n"),
         ],
-        ids=["list", "string_fidelity", "no_converged", "nan_fidelity", "bad_json", "string_converged"],
+        ids=["list", "string_fidelity", "no_converged", "nan_fidelity", "bad_json", "string_converged",
+             "fidelity_401_digits"],
     )
     def test_summarize_refuses_non_row(self, tmp_path, capsys, line, message):
         path = tmp_path / "rows.jsonl"
@@ -552,6 +576,33 @@ class TestErrors:
         assert main(["summarize", "--in", str(path)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["config", "basis", "record", "rows"])
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000 + "]" * 100_000, '{"a": [%s]}' % ("1" * 5000)], ids=["nested_100000", "digits_5000"]
+    )
+    def test_unparseable_file_named(self, tmp_path, exp_config, capsys, monkeypatch, name, text):
+        # nesting past the recursion limit and an integer past Python's digit
+        # limit are refused like a syntax error: one error line naming the file
+        instances = tmp_path / "instances"
+        main(["gen", "--config", str(exp_config), "--out", str(instances)])
+        capsys.readouterr()
+
+        def solve_hamiltonian(*args, **kwargs):
+            raise AssertionError("solved an instance it should have refused")
+
+        monkeypatch.setattr(cli, "solve_hamiltonian", solve_hamiltonian)
+        basis, record, rows = instances / "basis_0000.json", instances / "record_0000.json", tmp_path / "rows.jsonl"
+        if name == "rows":
+            rows.write_text('{"abs_fidelity": 0.999, "converged": true}\n' + text + "\n")
+            args, where = ["summarize", "--in", str(rows)], f"{rows} line 2"
+        else:
+            where = {"config": exp_config, "basis": basis, "record": record}[name]
+            where.write_text(text)
+            args = ["solve", "--basis", str(basis), "--measurements", str(record), "--config", str(exp_config)]
+        assert main(args) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("where", ["missing_parent", "directory"])
     def test_exp_unwritable_out_solves_nothing(self, tmp_path, exp_config, capsys, monkeypatch, where):

@@ -21,6 +21,8 @@ from hamlearn.operators import (
     matrix_to_json,
     random_hermitian,
     read_json,
+    require_float,
+    require_numbers,
     true_eigenstate,
 )
 
@@ -68,6 +70,15 @@ class TestLattice:
     def test_too_few_qubits(self):
         with pytest.raises(ValueError):
             LatticeSpec(1, ())
+
+    def test_too_many_qubits(self):
+        # refused before the bare-qubit check builds a set of every qubit
+        with pytest.raises(ValueError) as info:
+            LatticeSpec(100_000, ((1, 2),))
+        assert str(info.value) == "lattice num_qubits must be <= 8 (dimension <= 256), got 100000"
+
+    def test_from_json(self):
+        assert LatticeSpec.from_json({"num_qubits": 3, "edges": [[1, 2], [2, 3]]}) == LatticeSpec.chain(3)
 
     @pytest.mark.parametrize(
         "num_qubits, edges, bare", [(3, ((1, 2),), [3]), (4, ((2, 3),), [1, 4])], ids=["last", "both_ends"]
@@ -380,6 +391,32 @@ class TestSerialization:
             with pytest.raises(ValueError) as info:
                 MeasurementRecord.from_json({"a": a, "truth": {"c_true": c_true, "eigen_index": 0}})
             assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(3, 3.0), (-0.25, -0.25), (np.float32(0.5), 0.5), (float("inf"), float("inf")),
+         (2**1024 - 2**970 - 1, 1.7976931348623157e308)],
+        ids=["int", "float", "numpy_float", "inf", "largest_int_held"],
+    )
+    def test_require_float_accepts(self, value, expected):
+        assert require_float("x", value) == expected
+        assert np.array_equal(require_numbers("x", [value, 1]), [expected, 1.0])
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(True, "x must be a number, got True"), ("1", "x must be a number, got '1'"),
+         (10**400, "x must fit a float64, got a 401-digit integer"),
+         (-(2**1024), "x must fit a float64, got a 309-digit integer")],
+        ids=["bool", "string", "401_digits", "2_to_1024"],
+    )
+    def test_require_float_refuses(self, value, message):
+        # a float64 holds NaN and +-inf but no integer past its largest value
+        with pytest.raises(ValueError) as info:
+            require_float("x", value)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            require_numbers("x", [0.5, value])
+        assert str(info.value) == message.replace("x ", "x entry 1 ")
 
     def test_record_without_truth(self):
         rec = MeasurementRecord(a=np.array([0.5]))

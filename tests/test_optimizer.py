@@ -44,6 +44,7 @@ class TestSolveConfig:
             {"eps": float("inf")},
             {"eps": "1e-8"},
             {"eps": True},
+            {"eps": 10**400},
         ],
     )
     def test_validation(self, kwargs):

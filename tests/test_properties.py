@@ -1,10 +1,19 @@
-"""Property-based tests of the objective's invariants on random generic bases."""
+"""Property-based tests of the objective's invariants on random generic
+bases, and of the file readers on inputs with one value replaced."""
+
+import contextlib
+import io
+import json
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamlearn import cli
 from hamlearn import objective as obj_mod
+from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
 from hamlearn.objective import ReconstructionObjective
 from hamlearn.operators import OperatorBasis, basis_generic, check_measurement_range, eigenstate_measurements
 from test_objective import exact_gradient
@@ -90,3 +99,102 @@ def test_scale_covariance(inst, log2_s):
     assert big_obj.value(x) == s * s * fwd["v8"] + fwd["v9"]
     weighted = obj_mod._gradient(obj._ops, {**fwd, "v7": s * s * fwd["v7"]})
     assert np.array_equal(big_obj.gradient(x), s * weighted)
+
+
+# the d = 4 instance `gen` writes for this config, the config with its solve
+# settings spelt out, and the rows `exp` writes for it
+CI_CONFIG = {"preset": "generic", "n_qubits": 2, "num_instances": 2, "seed": 3, "m_terms": 2}
+SOLVE_SETTINGS = {"eps": 1e-8, "max_iters": 500, "max_restarts": 50}
+
+
+@pytest.fixture(scope="module")
+def reader_inputs(tmp_path_factory) -> dict:
+    """{name: (path, parsed JSON)} of a valid basis, record, config and rows file."""
+    tmp = tmp_path_factory.mktemp("readers")
+    config = tmp / "cfg.json"
+    config.write_text(json.dumps(CI_CONFIG))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--config", str(config), "--out", str(tmp)]) == EXIT_OK
+        assert main(["exp", "--config", str(config), "--out", str(tmp / "rows.jsonl")]) == EXIT_OK
+    config.write_text(json.dumps({**CI_CONFIG, "solve": SOLVE_SETTINGS}))
+    rows = [json.loads(line) for line in (tmp / "rows.jsonl").read_text().splitlines()]
+    files = {"basis": tmp / "basis_0000.json", "record": tmp / "record_0000.json", "config": config}
+    return {**{name: (path, json.loads(path.read_text())) for name, path in files.items()},
+            "rows": (tmp / "rows.jsonl", rows)}
+
+
+def _paths(doc, path=()):
+    """Every path into doc, the root's () first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    """doc with the value at path replaced by value."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(doc, dict):
+        return {**doc, key: _replaced(doc[key], rest, value)}
+    return [_replaced(v, rest, value) if k == key else v for k, v in enumerate(doc)]
+
+
+# JSON scalars: integers of up to 400 digits, and the tokens NaN and
+# +-Infinity; floats near the float64 maximum are left out
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.integers(-10**6, 10**6),
+    st.integers(299, 399).flatmap(lambda k: st.integers(10**k, 10 ** (k + 1) - 1)).flatmap(
+        lambda n: st.sampled_from([n, -n])),
+    st.floats(-1e6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+json_values = st.one_of(
+    json_scalars, st.lists(json_scalars, max_size=3), st.dictionaries(st.text(max_size=3), json_scalars, max_size=3)
+)
+
+
+@st.composite
+def replacements(draw, inputs):
+    """(name, path, value): one file of inputs, a path into it and the value put there."""
+    value = draw(json_values)
+    name = draw(st.sampled_from(sorted(inputs)))
+    paths = list(_paths(inputs[name][1]))
+    if name == "rows":
+        paths = paths[1:]  # the rows file is one JSON value a line, not one JSON value
+    return name, draw(st.sampled_from(paths)), value
+
+
+class _Solved(Exception):
+    """Raised by the stub solver: the inputs passed every check before the solve."""
+
+
+def _stub_solve(*args, **kwargs):
+    raise _Solved
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_readers_refuse_by_one_error_line(reader_inputs, data):
+    # whatever value sits at whatever path, solve and summarize either take
+    # the input (solve then reaches the solver) or exit 1 with one error line
+    name, path, value = data.draw(replacements(reader_inputs))
+    where, doc = reader_inputs[name]
+    doc = _replaced(doc, path, value)
+    target = where.with_name(f"replaced_{where.name}")
+    if name == "rows":
+        target.write_text("".join(json.dumps(row) + "\n" for row in doc))
+        args = ["summarize", "--in", str(target)]
+    else:
+        target.write_text(json.dumps(doc))
+        files = {n: str(target if n == name else reader_inputs[n][0]) for n in ("basis", "record", "config")}
+        args = ["solve", "--basis", files["basis"], "--measurements", files["record"], "--config", files["config"]]
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        mp.setattr(cli, "solve_hamiltonian", _stub_solve)
+        try:
+            code = main(args)
+        except _Solved:
+            return
+    err = err.getvalue()
+    assert code == EXIT_OK or (code == EXIT_CONFIG_ERROR and err.startswith("error: ") and err.count("\n") == 1), err
