@@ -1,10 +1,10 @@
 """Config-driven experiment suites: seeded instance generation, solving,
 reporting, and aggregate summaries.
 
-Instance-level randomness is split from the master seed as
-SeedSequence(master_seed, spawn_key=(row_id, stream)) with stream 0 for
-generation and stream 1 for the solver restarts, so instances can run in
-parallel and still reproduce byte-identically.
+Randomness is split from the master seed: instance i draws its Hamiltonian
+and levels from SeedSequence(master_seed, spawn_key=(i, 0)), which every row
+of a level sweep shares, and row r its solver restarts from spawn_key=(r, 1),
+so rows can run in parallel and still reproduce byte-identically.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .operators import (
     require_json,
     require_keys,
     require_qubits,
+    shown,
 )
 from .optimizer import SolveConfig, solve_hamiltonian, solve_steps
 
@@ -84,15 +85,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
+            raise ValueError(f"unknown preset {shown(self.preset)}; expected one of {PRESETS}")
         require_int("num_instances", self.num_instances, 1)
         require_qubits("n_qubits", self.n_qubits, 1)
         require_int("seed", self.seed, 0)
         # a setting no row of the preset reads is refused, not ignored
         if (self.m_terms is None) == (self.preset == "generic"):
-            raise ValueError(f"m_terms is needed by preset generic and refused by the others, got {self.preset!r}")
+            raise ValueError(f"m_terms is needed by preset generic and refused by the others, got {shown(self.preset)}")
         if (self.lattice is None) == (self.preset == "custom"):
-            raise ValueError(f"lattice is needed by preset custom and refused by the others, got {self.preset!r}")
+            raise ValueError(f"lattice is needed by preset custom and refused by the others, got {shown(self.preset)}")
         # n_qubits sizes every preset's rows, so a lattice must agree with it
         if self.lattice is not None and self.lattice.num_qubits != self.n_qubits:
             raise ValueError(f"n_qubits {self.n_qubits} differs from the lattice num_qubits {self.lattice.num_qubits}")
@@ -102,9 +103,9 @@ class ExperimentConfig:
             raise ValueError("solve.seed is refused: each row derives its solve seed from the config's seed")
         pol = self.eigen_index_policy
         if not (pol in ("random", "all") or (isinstance(pol, int) and not isinstance(pol, bool))):
-            raise ValueError(f"bad eigen_index_policy {pol!r}")
+            raise ValueError(f"bad eigen_index_policy {shown(pol)}")
         if isinstance(pol, int) and not (0 <= pol < 2**self.n_qubits):
-            raise ValueError(f"fixed eigen index {pol} out of range")
+            raise ValueError(f"eigen_index_policy {shown(pol)} out of range for dimension {2**self.n_qubits}")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -124,8 +125,8 @@ def _instance_seed(master: int, row_id: int, stream: int) -> int:
     return int(np.random.SeedSequence(master, spawn_key=(row_id, stream)).generate_state(1)[0])
 
 
-def _gen_rng(master: int, row_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(master, spawn_key=(row_id, 0)))
+def _gen_rng(master: int, instance_index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(master, spawn_key=(instance_index, 0)))
 
 
 def _draw_instance(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -332,9 +333,8 @@ def summarize(rows) -> dict:
             if key not in r:
                 raise ValueError(f"row {i} has no {key}")
         if not math.isfinite(require_float(f"row {i}: abs_fidelity", r["abs_fidelity"])):
-            raise ValueError(f"row {i}: abs_fidelity must be a finite real number, got {r['abs_fidelity']!r}")
-        if not isinstance(r["converged"], bool):
-            raise ValueError(f"row {i}: converged must be true or false, got {r['converged']!r}")
+            raise ValueError(f"row {i}: abs_fidelity must be a finite real number, got {shown(r['abs_fidelity'])}")
+        require_json(f"row {i}: converged", r["converged"], bool)
     fid = np.array([r["abs_fidelity"] for r in rows])
     # a fidelity exceeds 1 by round-off only; binned at 1, it is not left out
     counts, edges = np.histogram(np.minimum(fid, HIST_RANGE[1]), bins=HIST_BINS, range=HIST_RANGE)

@@ -4,7 +4,9 @@ the basis and record file formats."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import reprlib
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
@@ -14,25 +16,50 @@ from . import linalg
 
 GAP_TOL = 1e-8  # adjacent levels of H at most this far apart count as one (see separated)
 MAX_QUBITS = linalg.MAX_DIM.bit_length() - 1  # the widest register: dimension 2**MAX_QUBITS = linalg.MAX_DIM
+ECHO_MAX = 100  # the most characters of an input that a refusal shows (see shown)
 
 
 class DegenerateEigenstateError(ValueError):
     """Raised when the requested eigenstate sits in a (near-)degenerate level."""
 
 
+class _Echo(reprlib.Repr):
+    def repr1(self, x, level):  # an integer of any type as int shows it or, past 40 digits, by its digit count
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            return super().repr1(x, level)
+        n = abs(int(x))
+        k = int(n.bit_length() * math.log10(2))  # n has k or k + 1 digits; str() raises past 4,300 of them
+        return repr(int(x)) if n < 10**40 else f"a {k + (n >= 10**k)}-digit integer"
+
+
+_ECHO = _Echo()
+_ECHO.maxstring = _ECHO.maxother = 60  # reprlib's other limits stand; shown cuts the whole at ECHO_MAX
+
+
+def shown(value) -> str:
+    """How a refusal shows an input: its repr, shortened as _ECHO shortens it and cut to ECHO_MAX characters."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= ECHO_MAX else text[: ECHO_MAX - 3] + "..."
+
+
+def term_name(label) -> str:
+    """'term <label>' for a refusal: the label cut as shown cuts a string, but unquoted."""
+    return f"term {shown(str(label))[1:-1]}"
+
+
 def require_int(name: str, value, minimum: Optional[int] = None) -> None:
     """Raise ValueError unless value is an integer (not a bool) >= minimum."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
 def require_json(name: str, value, kind: type = dict) -> None:
-    """Raise ValueError unless value is of kind: dict (a parsed JSON object), list, str or numbers.Real (no bool)."""
+    """Raise ValueError unless value is of kind: dict (a parsed JSON object), list, str, bool or a non-bool Real."""
     if not isinstance(value, kind) or (kind is numbers.Real and isinstance(value, bool)):
-        what = {dict: "a JSON object", list: "a list", str: "a string", numbers.Real: "a number"}[kind]
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        what = {dict: "a JSON object", list: "a list", str: "a string", numbers.Real: "a number", bool: "true or false"}
+        raise ValueError(f"{name} must be {what[kind]}, got {shown(value)}")
 
 
 def require_float(name: str, value) -> float:
@@ -41,7 +68,7 @@ def require_float(name: str, value) -> float:
     try:
         return float(value)
     except OverflowError:
-        raise ValueError(f"{name} must fit a float64, got a {len(str(abs(value)))}-digit integer") from None
+        raise ValueError(f"{name} must fit a float64, got {shown(value)}") from None
 
 
 def require_numbers(name: str, value) -> np.ndarray:
@@ -59,7 +86,7 @@ def require_qubits(name: str, n, minimum: int) -> None:
     """Raise ValueError unless n is an integer >= minimum whose register, of dimension 2**n, linalg accepts."""
     require_int(name, n, minimum)
     if n > MAX_QUBITS:  # before anything is sized by it
-        raise ValueError(f"{name} must be <= {MAX_QUBITS} (dimension <= {linalg.MAX_DIM}), got {n}")
+        raise ValueError(f"{name} must be <= {MAX_QUBITS} (dimension <= {linalg.MAX_DIM}), got {shown(n)}")
 
 
 def require_keys(name: str, obj: dict, cls: type) -> None:
@@ -68,7 +95,7 @@ def require_keys(name: str, obj: dict, cls: type) -> None:
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING and f.name not in obj]
     for which, keys in (("unknown", unknown), ("missing", missing)):
         if keys:
-            raise ValueError(f"{which} {name} keys: {keys}")
+            raise ValueError(f"{which} {name} keys: {shown(keys)}")
 
 
 def json_object(text: str, where: str) -> dict:
@@ -106,9 +133,9 @@ class LatticeSpec:
             require_int("lattice edge qubit", i)
             require_int("lattice edge qubit", j)
             if not (1 <= i < j <= self.num_qubits):
-                raise ValueError(f"bad edge ({i},{j}) for {self.num_qubits} qubits")
+                raise ValueError(f"bad edge ({shown(i)},{shown(j)}) for {self.num_qubits} qubits")
             if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
+                raise ValueError(f"duplicate edge ({shown(i)},{shown(j)})")
             seen.add((i, j))
         # a qubit no term acts on doubles every level of every Hamiltonian
         bare = sorted(set(range(1, self.num_qubits + 1)).difference(*seen))
@@ -119,10 +146,10 @@ class LatticeSpec:
     def from_json(cls, obj) -> "LatticeSpec":
         """The lattice of a config's {"num_qubits": n, "edges": [[i, j], ...]}."""
         if not isinstance(obj, dict) or set(obj) != {"num_qubits", "edges"}:
-            raise ValueError(f"lattice must be an object with keys num_qubits and edges, got {obj!r}")
+            raise ValueError(f"lattice must be an object with keys num_qubits and edges, got {shown(obj)}")
         edges = obj["edges"]
         if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
-            raise ValueError(f"lattice edges must be a list of [i, j] qubit pairs, got {edges!r}")
+            raise ValueError(f"lattice edges must be a list of [i, j] qubit pairs, got {shown(edges)}")
         return cls(obj["num_qubits"], tuple(tuple(e) for e in edges))
 
     @classmethod
@@ -172,10 +199,10 @@ class OperatorBasis:
             raise ValueError("labels/terms length mismatch")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        terms = [linalg.check_hermitian(t, f"term {lab}") for lab, t in zip(self.labels, self.terms)]
+        terms = [linalg.check_hermitian(t, term_name(lab)) for lab, t in zip(self.labels, self.terms)]
         for lab, t in zip(self.labels, terms):
             if t.shape[0] != self.dim:
-                raise ValueError(f"term {lab} has dimension {t.shape[0]}, expected {self.dim}")
+                raise ValueError(f"{term_name(lab)} has dimension {t.shape[0]}, expected {self.dim}")
         # keep each term's Hermitian part (A + A^dag)/2, with A's own bits wherever A already
         # equals A^dag: every real combination of the kept terms is then exactly Hermitian
         self.terms = [np.where(t == t.conj().T, t, (t + t.conj().T) / 2) for t in terms]
@@ -251,7 +278,7 @@ def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
         if a[k] < w[0] - slack or a[k] > w[-1] + slack:
             raise ValueError(
                 f"measurement a[{k}] = {a[k]:.6g} outside the numerical range "
-                f"[{w[0]:.6g}, {w[-1]:.6g}] of term {basis.labels[k]}"
+                f"[{w[0]:.6g}, {w[-1]:.6g}] of {term_name(basis.labels[k])}"
             )
 
 
@@ -307,7 +334,7 @@ def assemble(basis: OperatorBasis, c: Sequence[float]) -> np.ndarray:
     if c.shape != (basis.size,):
         raise ValueError(f"coefficient vector length {c.shape} != basis size {basis.size}")
     if not np.all(np.isfinite(c)):
-        raise ValueError(f"coefficient vector {c.tolist()} is not finite")
+        raise ValueError(f"coefficient vector {shown(c.tolist())} is not finite")
     h = np.zeros((basis.dim, basis.dim), dtype=complex)
     for ci, ai in zip(c, basis.terms):
         h += ci * ai
@@ -334,7 +361,7 @@ def true_eigenstate(basis: OperatorBasis, c: Sequence[float], eigen_index) -> tu
     """
     require_int("eigen_index", eigen_index)
     if not 0 <= eigen_index < basis.dim:
-        raise ValueError(f"eigen_index {eigen_index} out of range for dimension {basis.dim}")
+        raise ValueError(f"eigen_index {shown(eigen_index)} out of range for dimension {basis.dim}")
     try:
         h = assemble(basis, c)
     except ValueError as exc:

@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .objective import ReconstructionObjective, first_positive_gap
-from .operators import OperatorBasis, require_float, require_int, require_json, require_keys
+from .operators import OperatorBasis, require_float, require_int, require_json, require_keys, shown
 
 # Fixed solver settings, read at call time. Only the acceptance threshold,
 # the budgets and the seed are configurable (SolveConfig).
@@ -36,7 +36,7 @@ class SolveConfig:
 
     def __post_init__(self):
         if not 0 < require_float("eps", self.eps) < math.inf:
-            raise ValueError(f"eps must be a finite positive number, got {self.eps!r}")
+            raise ValueError(f"eps must be a finite positive number, got {shown(self.eps)}")
         require_int("max_iters", self.max_iters, 1)
         require_int("max_restarts", self.max_restarts, 1)
         if self.seed is not None:

@@ -40,6 +40,7 @@ TERM = {"label": "A1", "matrix": {"re": [[1, 0], [0, -1]], "im": [[0, 0], [0, 0]
 
 
 DIGITS_401 = 10**400  # no float64 holds it, as none holds 1e400
+DIGITS_4000 = 10**3999
 
 
 def record_with(**truth) -> dict:
@@ -576,6 +577,56 @@ class TestErrors:
         assert main(["summarize", "--in", str(path)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name, edit, field",
+        [
+            ("config", lambda c: {**c, "preset": list(range(100_000))}, "unknown preset"),
+            ("config", lambda c: {**c, "eigen_index_policy": ["x"] * 100_000}, "eigen_index_policy"),
+            ("config", lambda c: {**c, "eigen_index_policy": DIGITS_4000}, "eigen_index_policy"),
+            ("config", lambda c: {**c, "n_qubits": DIGITS_4000}, "n_qubits"),
+            ("config", lambda c: {**c, "num_instances": [0.5] * 100_000}, "num_instances"),
+            ("config", lambda c: {**c, **{f"k{i}": 1 for i in range(100_000)}}, "unknown experiment-config keys"),
+            ("config", lambda c: {**c, "preset": "custom", "m_terms": None,
+                                  "lattice": {"num_qubits": 2, "edges": [[1, 2, 3]] * 100_000}}, "lattice edges"),
+            ("config", lambda c: {**c, "preset": "custom", "m_terms": None,
+                                  "lattice": {"num_qubits": 2, "edges": [[1, DIGITS_4000]]}}, "bad edge"),
+            ("config", lambda c: {**c, "solve": {"eps": "x" * 100_000}}, "eps"),
+            ("record", lambda r: {**r, "a": [[0.5] * 100_000, 0.1]}, "record a entry 0"),
+            ("record", lambda r: {**r, "truth": {**r["truth"], "eigen_index": DIGITS_4000}}, "eigen_index"),
+            ("basis", lambda b: {**b, "terms": [{**b["terms"][0], "label": list(range(100_000))}]}, "label"),
+            ("basis", lambda b: {**b, "terms": [{**b["terms"][0], "label": "L" * 100_000,
+                                                 "matrix": {"re": [[0, 1, 0, 0]] + [[0] * 4] * 3,
+                                                            "im": [[0] * 4] * 4}}]}, "is not Hermitian"),
+            ("rows", lambda rows: [rows[0], {**rows[1], "converged": ["s"] * 100_000}], "row 2: converged"),
+        ],
+        ids=["preset_list", "policy_list", "policy_4000_digits", "n_qubits_4000_digits", "num_instances_list",
+             "unknown_keys", "lattice_triples", "edge_qubit_4000_digits", "eps_long_string", "a_long_entry",
+             "eigen_index_4000_digits", "label_list", "label_long", "converged_list"],
+    )
+    def test_oversized_value_refused_in_short_line(self, tmp_path, exp_config, capsys, monkeypatch, name, edit,
+                                                   field):
+        # a refusal names the field and shows at most ECHO_MAX characters of the value
+        instances, rows = tmp_path / "instances", tmp_path / "rows.jsonl"
+        main(["gen", "--config", str(exp_config), "--out", str(instances)])
+        main(["exp", "--config", str(exp_config), "--out", str(rows)])
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "solve_hamiltonian", None)  # nothing may reach a solve
+        monkeypatch.setattr(cli, "run_experiment", None)
+        files = {"config": exp_config, "basis": instances / "basis_0000.json",
+                 "record": instances / "record_0000.json", "rows": rows}
+        if name == "rows":
+            edited = edit([json.loads(line) for line in rows.read_text().splitlines()])
+            rows.write_text("".join(json.dumps(r) + "\n" for r in edited))
+        else:
+            files[name].write_text(json.dumps(edit(json.loads(files[name].read_text()))))
+        args = {
+            "config": ["exp", "--config", str(exp_config), "--out", str(tmp_path / "o.jsonl")],
+            "rows": ["summarize", "--in", str(rows)],
+        }.get(name, ["solve", "--basis", str(files["basis"]), "--measurements", str(files["record"])])
+        assert main(args) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err and err.count("\n") == 1 and len(err) < 200, err[:500]
 
     @pytest.mark.parametrize("name", ["config", "basis", "record", "rows"])
     @pytest.mark.parametrize(

@@ -80,6 +80,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^n_qubits must be <= 8 \(dimension <= 256\), got 9$"):
             small_config(n_qubits=9)
         assert small_config(n_qubits=8).n_qubits == 8
+        # past Python's 4,300-digit limit for str() of an integer: still refused by name
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig(preset="generic", n_qubits=10**5000, num_instances=1, m_terms=2)
+        assert str(info.value) == "n_qubits must be <= 8 (dimension <= 256), got a 5001-digit integer"
 
     @pytest.mark.parametrize("n_qubits", [1, 3, 6])
     def test_custom_n_qubits_must_match_lattice(self, n_qubits):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hamlearn.operators import (
+    ECHO_MAX,
     DegenerateEigenstateError,
     LatticeSpec,
     MeasurementRecord,
@@ -23,6 +24,8 @@ from hamlearn.operators import (
     read_json,
     require_float,
     require_numbers,
+    shown,
+    term_name,
     true_eigenstate,
 )
 
@@ -436,3 +439,41 @@ class TestSerialization:
         with pytest.raises(ValueError) as info:
             json_object(text, "f.json")
         assert str(info.value) == message
+
+
+class TestEcho:
+    @pytest.mark.parametrize(
+        "value, text",
+        [([0.5], "[0.5]"), ("1", "'1'"), (None, "None"), (True, "True"), (1.5, "1.5"), (float("nan"), "nan"),
+         ({"b": 1, "a": [2]}, "{'a': [2], 'b': 1}"), (10**40 - 1, str(10**40 - 1)), (10**40, "a 41-digit integer"),
+         (-(2**1024), "a 309-digit integer"), (10**5000, "a 5001-digit integer"),
+         ([1, 10**400], "[1, a 401-digit integer]"), (np.int64(7), "7"), ([np.uint8(3), True], "[3, True]")],
+        ids=["list", "string", "none", "bool", "float", "nan", "dict_sorted", "40_digits", "41_digits", "2_to_1024",
+             "5001_digits", "nested_integer", "numpy_integer", "nested_numpy_integer"],
+    )
+    def test_short_values_and_long_integers(self, value, text):
+        # a short value shows as repr shows it (a dict's keys sorted); an integer
+        # past 40 digits by its digit count, which str() refuses past 4,300 digits
+        assert shown(value) == text
+
+    def test_digit_count_is_exact(self):
+        for k in range(40, 1200):
+            assert shown(10**k) == f"a {k + 1}-digit integer"
+            assert shown(-(10**k) + 1) == (f"a {k}-digit integer" if k > 40 else str(-(10**k) + 1))
+
+    @pytest.mark.parametrize(
+        "value",
+        [[0.5] * 10**5, "x" * 10**5, {f"k{i}": i for i in range(1000)}, [[["s" * 50] * 6] * 6] * 6,
+         [[[[[[[1]]]]]]] * 10, ["y" * 10**5, 10**4000]],
+        ids=["long_list", "long_string", "1000_keys", "nested", "deep", "mixed"],
+    )
+    def test_bounded(self, value):
+        assert len(shown(value)) <= ECHO_MAX
+
+    def test_term_name(self):
+        # a label is cut as a string is, but shown unquoted; an escape keeps it on one line
+        assert term_name("A1") == "term A1"
+        assert term_name("a'b") == "term a'b"
+        assert term_name("a\nb") == "term a\\nb"
+        long = term_name("L" * 10**5)
+        assert long.startswith("term LL") and long.endswith("LL") and len(long) <= len("term ") + ECHO_MAX

@@ -45,11 +45,16 @@ class TestSolveConfig:
             {"eps": "1e-8"},
             {"eps": True},
             {"eps": 10**400},
+            # past Python's 4,300-digit limit for str() of an integer
+            {"eps": 10**5000},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # refused by name, in a message that shows at most a short echo of the value
+        (key,) = kwargs
+        with pytest.raises(ValueError) as info:
             SolveConfig(**kwargs)
+        assert key in str(info.value) and len(str(info.value)) < 200
 
     def test_from_dict_rejects_unknown(self):
         for obj in ({"epsilon": 1e-8}, {"hops_per_restart": 12}):

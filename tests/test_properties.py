@@ -149,8 +149,19 @@ json_scalars = st.one_of(
         lambda n: st.sampled_from([n, -n])),
     st.floats(-1e6, 1e6), st.sampled_from([math.nan, math.inf, -math.inf]),
 )
+# oversized values, built from small draws: a list of 10**4 to 10**5 numbers
+# or strings, a string of 10**5 characters, an integer of 1,000 to 4,000
+# digits, an object of 1,000 keys
+oversized = st.one_of(
+    st.tuples(st.integers(10**4, 10**5), st.sampled_from([0.5, 7, "x", "longer"])).map(lambda t: [t[1]] * t[0]),
+    st.characters().map(lambda c: c * 10**5),
+    st.tuples(st.integers(999, 3999), st.integers(1, 9), st.sampled_from([1, -1])).map(
+        lambda t: t[2] * t[1] * 10 ** t[0]),
+    st.text(max_size=2).map(lambda prefix: {f"{prefix}{k}": k for k in range(1000)}),
+)
 json_values = st.one_of(
-    json_scalars, st.lists(json_scalars, max_size=3), st.dictionaries(st.text(max_size=3), json_scalars, max_size=3)
+    json_scalars, st.lists(json_scalars, max_size=3), st.dictionaries(st.text(max_size=3), json_scalars, max_size=3),
+    st.lists(st.lists(st.lists(json_scalars, max_size=3), max_size=3), max_size=3), oversized,
 )
 
 
@@ -177,7 +188,8 @@ def _stub_solve(*args, **kwargs):
 @given(data=st.data())
 def test_readers_refuse_by_one_error_line(reader_inputs, data):
     # whatever value sits at whatever path, solve and summarize either take
-    # the input (solve then reaches the solver) or exit 1 with one error line
+    # the input (solve then reaches the solver) or exit 1 with one error line,
+    # of at most 300 characters besides the file path it names
     name, path, value = data.draw(replacements(reader_inputs))
     where, doc = reader_inputs[name]
     doc = _replaced(doc, path, value)
@@ -198,3 +210,4 @@ def test_readers_refuse_by_one_error_line(reader_inputs, data):
             return
     err = err.getvalue()
     assert code == EXIT_OK or (code == EXIT_CONFIG_ERROR and err.startswith("error: ") and err.count("\n") == 1), err
+    assert len(err.replace(str(target), "")) <= 300, err[:1000]
