@@ -214,19 +214,19 @@ def _row_steps(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_in
 
 # Rows the lockstep worker stacks at d <= STACK_DIM_MAX; wider rows run
 # _run_row, one per thread of a pool. Measured (2 cores, one BLAS thread): at
-# d = 16, m = 3 a stacked evaluation costs 115 to 118 us a row alone, 79 to
-# 93 at 2 rows, 63 to 66 at 8 and 57 to 64 at 16. A second stacking worker
-# at d = 16 bought no wall time and cost about a quarter more CPU (the GIL
-# serialises the workers' small calls), hence one. A generic n=4 suite of
-# 40 rows took 1.29 to 1.44 s with 8 rows in flight, 1.28 to 1.51 s with 16
-# and 1.34 to 1.43 s with 40, for the same rows, and 8, 16, 24 and 40 rows
-# peaked at 38.2, 39.2, 40.2 and 41.9 MB, so 8. On generic suites at d = 4
-# and d = 8, 8 rows also took less CPU than 1 or 4. At d = 32 a row costs
-# 249 to 269 us alone, 285 to 445 at 2 rows and 246 to 261 at 8, and at
-# d = 64 four cost 1.1x to 1.7x a row, so wide rows are not stacked. There
-# the pool pays at d = 128: a local_chain n = 7 suite of 5 rows took 40 to
-# 44 s of wall and 76 to 81 s of CPU at threads = 2 against 78 to 83 s of
-# both at threads = 1.
+# d = 16, m = 3 a stacked evaluation costs 115-118 us a row alone, 79-93 at 2
+# rows, 63-66 at 8 and 57-64 at 16. A second stacking worker bought no wall
+# time for a quarter more CPU (the GIL serialises its small calls), hence one.
+# 40 generic n=4 rows took 1.29-1.44 s with 8 in flight, 1.28-1.51 s with 16
+# and 1.34-1.43 s with 40, and 8, 16, 24 and 40 peaked at 38.2, 39.2, 40.2
+# and 41.9 MB, so 8; at d = 4 and 8, 8 also took less CPU than 1 or 4. At
+# d = 32 a row costs 249-269 us alone, 285-445 at 2 and 246-261 at 8, and at
+# d = 64 four cost 1.1x-1.7x a row: wide rows are not stacked. The pool gains
+# by overlapping products (numpy 2.4.6): two threads took 1.1x-1.6x one's wall
+# for their share of @ at d = 128-256, but 1.8x-2.3x of eigh at d = 16-64,
+# which holds the GIL. At threads = 2, 8 rows at d = 64 took 2.1-2.9 s of wall
+# against 4.0 s serial and 2 at d = 128 6.4-7.4 s against 11.3 s (less where
+# rows differ in length); 6 at d = 32 took 1.09-1.24 s against 1.07-1.27 s.
 ROWS_IN_FLIGHT = 8
 STACK_DIM_MAX = 16
 

@@ -173,10 +173,11 @@ class ReconstructionObjective:
         self.a = np.asarray(a, dtype=float)
         check_measurement_range(basis, self.a)
         d, m = basis.dim, basis.size
-        # A_i and B_i = A_i - a_i I (Hs's per-coefficient derivatives) as flattened stacks:
-        # tr(X_j Y) for every j is one product with Y^T raveled, sum_j c_j X_j is c @ X_flat
-        a_flat = np.reshape(basis.terms, (m, d * d))
-        b_flat = a_flat - np.outer(self.a, np.eye(d).ravel())
+        # A_i (a view of the basis's stack) and B_i = A_i - a_i I (Hs's per-coefficient derivatives)
+        # as flattened stacks: tr(X_j Y) for every j is one product with Y^T raveled, sum_j c_j X_j is c @ X_flat
+        a_flat = basis.terms.reshape(m, d * d)
+        b_flat = a_flat.copy()
+        b_flat[:, :: d + 1] -= self.a[:, None]
         # the kernel's operands
         self._ops = (b_flat, a_flat, self.a)
         self._x_shape = (m,)

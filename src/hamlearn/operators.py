@@ -189,7 +189,7 @@ class OperatorBasis:
     """Ordered set of Hermitian operators A_1..A_m sharing one dimension."""
 
     dim: int
-    terms: list
+    terms: np.ndarray  # given as any sequence of d x d arrays, kept as one read-only (m, d, d) array
     labels: list
 
     def __post_init__(self):
@@ -200,12 +200,14 @@ class OperatorBasis:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
         terms = [linalg.check_hermitian(t, term_name(lab)) for lab, t in zip(self.labels, self.terms)]
-        for lab, t in zip(self.labels, terms):
+        # keep each term's Hermitian part (A + A^dag)/2, with A's own bits wherever A already equals
+        # A^dag, in its slot of one stack: every real combination of the kept terms is then exactly Hermitian
+        self.terms = np.empty((len(terms), *terms[0].shape), dtype=complex)
+        for k, (lab, t) in enumerate(zip(self.labels, terms)):
             if t.shape[0] != self.dim:
                 raise ValueError(f"{term_name(lab)} has dimension {t.shape[0]}, expected {self.dim}")
-        # keep each term's Hermitian part (A + A^dag)/2, with A's own bits wherever A already
-        # equals A^dag: every real combination of the kept terms is then exactly Hermitian
-        self.terms = [np.where(t == t.conj().T, t, (t + t.conj().T) / 2) for t in terms]
+            self.terms[k] = np.where(t == t.conj().T, t, (t + t.conj().T) / 2)
+        self.terms.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -272,14 +274,15 @@ def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
         k = int(np.flatnonzero(~np.isfinite(a))[0])
         raise ValueError(f"measurement a[{k}] = {a[k]} is not finite")
-    for k, term in enumerate(basis.terms):
-        w = np.linalg.eigvalsh(term)
-        slack = linalg.ROUNDOFF_TOL * max(1.0, abs(w[0]), abs(w[-1]))
-        if a[k] < w[0] - slack or a[k] > w[-1] + slack:
-            raise ValueError(
-                f"measurement a[{k}] = {a[k]:.6g} outside the numerical range "
-                f"[{w[0]:.6g}, {w[-1]:.6g}] of {term_name(basis.labels[k])}"
-            )
+    lo, hi = np.linalg.eigvalsh(basis.terms)[:, [0, -1]].T  # each term's least and greatest eigenvalue
+    slack = linalg.ROUNDOFF_TOL * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
+    out = np.flatnonzero((a < lo - slack) | (a > hi + slack))
+    if out.size:
+        k = int(out[0])  # the first term out of range
+        raise ValueError(
+            f"measurement a[{k}] = {a[k]:.6g} outside the numerical range "
+            f"[{lo[k]:.6g}, {hi[k]:.6g}] of {term_name(basis.labels[k])}"
+        )
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -335,10 +338,7 @@ def assemble(basis: OperatorBasis, c: Sequence[float]) -> np.ndarray:
         raise ValueError(f"coefficient vector length {c.shape} != basis size {basis.size}")
     if not np.all(np.isfinite(c)):
         raise ValueError(f"coefficient vector {shown(c.tolist())} is not finite")
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for ci, ai in zip(c, basis.terms):
-        h += ci * ai
-    return h
+    return np.einsum("i,ijk->jk", c, basis.terms)
 
 
 def separated(gaps) -> bool:
@@ -377,7 +377,6 @@ def eigenstate_measurements(basis: OperatorBasis, c: Sequence[float], eigen_inde
     """Measure every basis term on the eigen_index-th eigenstate of H(c) (see true_eigenstate)."""
     c = np.asarray(c, dtype=float)
     _, psi = true_eigenstate(basis, c, eigen_index)
-    # each kept term is exactly Hermitian, so its expectation is real up to round-off
-    a = np.array([(psi.conj() @ (term @ psi)).real for term in basis.terms])
-    truth = Truth(c_true=c.copy(), eigen_index=eigen_index)
-    return MeasurementRecord(a=a, truth=truth)
+    # kept terms are exactly Hermitian: expectations are real up to round-off (copied: a dot with a strided a differs)
+    a = (psi.conj() @ (basis.terms @ psi)[..., None])[:, 0].real.copy()
+    return MeasurementRecord(a=a, truth=Truth(c_true=c.copy(), eigen_index=eigen_index))

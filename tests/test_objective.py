@@ -1,5 +1,6 @@
 """Unit tests for the reconstruction objective and its exact gradient."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -366,6 +367,24 @@ class TestShiftedTerms:
             recover_eigenstate(basis, [1.0, 1.0], [np.nan, 0.1])
         with pytest.raises(ValueError, match=r"a\[1\] = 1.5 outside the numerical range \[-1, 1\] of term z2"):
             ReconstructionObjective(basis, [0.1, 1.5])
+
+    def test_terms_are_not_copied(self):
+        # a basis holds its terms once, as one read-only (m, d, d) stack; an
+        # objective reads A_i from it and keeps one array of its own, the B_i
+        d, m = 64, 6
+        obj, _ = generic_objective(d=d, m=m)
+        terms = obj.basis.terms
+        assert terms.shape == (m, d, d) and terms.dtype == complex
+        assert terms.flags.c_contiguous and not terms.flags.writeable
+        assert np.shares_memory(obj._ops[1], terms)
+        tracemalloc.start()
+        try:
+            again = ReconstructionObjective(obj.basis, obj.a)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= 1.1 * m * d * d * 16
+        assert np.array_equal(again._ops[0], obj._ops[0])
 
 
 def nearly_hermitian_d256_basis() -> OperatorBasis:

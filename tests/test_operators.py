@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from hamlearn import linalg
 from hamlearn.operators import (
     ECHO_MAX,
     DegenerateEigenstateError,
@@ -15,6 +16,7 @@ from hamlearn.operators import (
     assemble,
     basis_generic,
     basis_two_local,
+    check_measurement_range,
     eigenstate_measurements,
     embed_two_local,
     json_object,
@@ -291,6 +293,64 @@ class TestMeasurements:
         basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
         _, psi = true_eigenstate(basis, [1.0], np.int64(1))
         assert np.array_equal(abs(psi), [1.0, 0.0])
+
+
+def loop_bases():
+    """Generic and two-local bases, the latter with -0.0 real parts, as the per-term references read them."""
+    rng = np.random.default_rng(71)
+    yield basis_generic(8, 4, rng)
+    yield basis_generic(32, 2, rng)
+    yield basis_two_local(LatticeSpec(4, ((1, 2), (2, 3), (3, 4), (1, 4))), rng)  # a ring: c_1 = 0 leaves no qubit bare
+    yield basis_two_local(LatticeSpec.fully_connected(5), rng)
+
+
+class TestStackedTerms:
+    """assemble, check_measurement_range and eigenstate_measurements read the
+    basis's (m, d, d) stack at once; each gives the bits of a per-term loop."""
+
+    @pytest.mark.parametrize("basis", loop_bases())
+    def test_assemble_matches_loop(self, basis):
+        rng = np.random.default_rng(73)
+        zero_one = rng.uniform(-1, 1, basis.size)
+        zero_one[1] = 0.0
+        for c in (rng.uniform(-1, 1, basis.size), zero_one, np.zeros(basis.size)):
+            h = np.zeros((basis.dim, basis.dim), dtype=complex)
+            for ci, ai in zip(c, basis.terms):
+                h += ci * ai
+            assert assemble(basis, c).tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("basis", loop_bases())
+    def test_measurements_match_loop(self, basis):
+        rng = np.random.default_rng(79)
+        c = rng.uniform(-1, 1, basis.size)
+        c[0] = 0.0
+        for level in (0, basis.dim // 2, basis.dim - 1):
+            _, psi = true_eigenstate(basis, c, level)
+            a = np.array([(psi.conj() @ (term @ psi)).real for term in basis.terms])
+            rec = eigenstate_measurements(basis, c, level)
+            assert rec.a.tobytes() == a.tobytes()
+            assert rec.a.flags.c_contiguous  # a dot with a strided a can differ in its last bit
+
+    @pytest.mark.parametrize("basis", loop_bases())
+    def test_range_bounds_match_loop(self, basis):
+        # each term's bound, as the loop computes it, is accepted, and the next float past it refused
+        spectra = [np.linalg.eigvalsh(term) for term in basis.terms]
+        inside = np.array([(w[0] + w[-1]) / 2 for w in spectra])
+        for k, w in enumerate(spectra):
+            slack = linalg.ROUNDOFF_TOL * max(1.0, abs(w[0]), abs(w[-1]))
+            for edge, beyond in ((w[0] - slack, -np.inf), (w[-1] + slack, np.inf)):
+                a = inside.copy()
+                a[k] = edge
+                check_measurement_range(basis, a)
+                a[k] = np.nextafter(edge, beyond)
+                with pytest.raises(ValueError, match=rf"a\[{k}\] = .* outside the numerical range"):
+                    check_measurement_range(basis, a)
+
+    def test_range_error_names_first_term(self):
+        basis = OperatorBasis(dim=2, terms=[PAULI_Z, 2 * PAULI_X, 3 * PAULI_Z], labels=["z", "x", "z3"])
+        with pytest.raises(ValueError) as info:
+            check_measurement_range(basis, [0.5, 2.5, -3.5])
+        assert str(info.value) == "measurement a[1] = 2.5 outside the numerical range [-2, 2] of term x"
 
 
 class TestSerialization:
