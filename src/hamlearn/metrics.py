@@ -10,7 +10,7 @@ import numpy as np
 
 from . import linalg
 from .objective import HS2_GAP_TOL, ReconstructionObjective
-from .operators import MeasurementRecord, OperatorBasis, assemble, true_eigenstate
+from .operators import MeasurementRecord, OperatorBasis, assemble, require_vector, true_eigenstate
 from .optimizer import SolveResult
 
 PHASE_TOL = 1e-8  # recover_eigenstate makes the first component above this in magnitude real positive
@@ -37,14 +37,14 @@ def hamiltonian_fidelity(h1, h2) -> float:
     return float(linalg.trace_product(h1, h2).real / np.sqrt(n1 * n2))
 
 
-def recover_eigenvalue(x, a) -> float:
-    """Eigenvalue of the unit-norm Hamiltonian: sum_i (x_i/||x||) a_i.
+def recover_eigenvalue(basis: OperatorBasis, x, a) -> float:
+    """Eigenvalue of the unit-norm Hamiltonian: sum_i (x_i/||x||) a_i, for x and a of one entry per term.
 
     Only the unit-norm value is recoverable; the absolute scale of the
     coefficients is absorbed into the effective inverse temperature.
     """
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
+    x = require_vector("x", x, basis.size)
+    a = require_vector("measurement vector a", a, basis.size)
     norm = np.linalg.norm(x)
     if norm == 0:
         raise ValueError("coefficient vector is zero")
@@ -59,7 +59,7 @@ def recover_eigenstate(basis: OperatorBasis, x, a) -> np.ndarray:
     only warns: the returned vector is then one arbitrary member of the
     ground space.
     """
-    x = np.asarray(x, dtype=float)
+    x = require_vector("x", x, basis.size)
     if np.linalg.norm(x) == 0:
         raise ValueError("coefficient vector is zero")
     fwd = ReconstructionObjective(basis, a)._forward(x)
@@ -82,7 +82,7 @@ def report(basis: OperatorBasis, solve_result: SolveResult, record: MeasurementR
     h_al = assemble(basis, solve_result.x_opt)
     h_rd = assemble(basis, truth.c_true)
     fid = hamiltonian_fidelity(h_al, h_rd)
-    lam_hat = recover_eigenvalue(solve_result.x_opt, record.a)
+    lam_hat = recover_eigenvalue(basis, solve_result.x_opt, record.a)
     psi_hat = recover_eigenstate(basis, solve_result.x_opt, record.a)
     _, psi_true = true_eigenstate(basis, truth.c_true, truth.eigen_index)
     overlap = float(abs(psi_hat.conj() @ psi_true) ** 2)

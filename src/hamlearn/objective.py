@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .operators import OperatorBasis, check_measurement_range
+from .operators import OperatorBasis, check_measurement_range, require_vector
 
 HS2_GAP_TOL = 1e-12  # levels of Hs^2 closer than this count as one
 
@@ -170,8 +170,7 @@ class ReconstructionObjective:
 
     def __init__(self, basis: OperatorBasis, a: Sequence[float]):
         self.basis = basis
-        self.a = np.asarray(a, dtype=float)
-        check_measurement_range(basis, self.a)
+        self.a = check_measurement_range(basis, a)
         d, m = basis.dim, basis.size
         # A_i (a view of the basis's stack) and B_i = A_i - a_i I (Hs's per-coefficient derivatives)
         # as flattened stacks: tr(X_j Y) for every j is one product with Y^T raveled, sum_j c_j X_j is c @ X_flat
@@ -190,15 +189,11 @@ class ReconstructionObjective:
 
     def _forward(self, x: np.ndarray) -> dict:
         x = np.asarray(x, dtype=float)
-        # a cached x passed both checks below, so equal bytes and shape need neither
+        # a cached x passed require_vector, so equal bytes and shape need no check
         key = x.tobytes()
         if key == self._cache_key and x.shape == self._x_shape:
             return self._cache
-        if x.shape != self._x_shape:
-            raise ValueError(f"x has shape {x.shape}, expected {self._x_shape}")
-        if not np.isfinite(x).all():
-            raise ValueError("x contains non-finite entries")
-        fwd = _forward(self._ops, x)
+        fwd = _forward(self._ops, require_vector("x", x, self.size))
         self._cache_key = key
         self._cache = fwd
         return fwd

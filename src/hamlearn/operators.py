@@ -82,6 +82,21 @@ def require_numbers(name: str, value) -> np.ndarray:
     return np.array([require_float(f"{name} entry {k}", v) for k, v in enumerate(value)])
 
 
+def require_vector(name: str, value, size: int) -> np.ndarray:
+    """value as a C-contiguous float64 array of shape (size,) of finite numbers; else one ValueError naming name."""
+    try:
+        v = np.asarray(value, dtype=float, order="C")
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or past a float64
+        v = None
+    if v is None or v.shape != (size,):  # a list, an array and a view of equal values show alike
+        got = shown(value if v is None else v.tolist())
+        raise ValueError(f"{name} must be a real vector of shape ({size},), got {got}")
+    if not np.isfinite(v).all():
+        k = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValueError(f"{name} entry {k} must be finite, got {shown(float(v[k]))}")
+    return v
+
+
 def require_qubits(name: str, n, minimum: int) -> None:
     """Raise ValueError unless n is an integer >= minimum whose register, of dimension 2**n, linalg accepts."""
     require_int(name, n, minimum)
@@ -265,15 +280,10 @@ class MeasurementRecord:
         return cls(a=a, truth=truth)
 
 
-def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
-    """Each a_i must be finite and lie in the numerical range of A_i, up to
-    linalg.ROUNDOFF_TOL times the larger of 1 and A_i's spectral radius."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (basis.size,):
-        raise ValueError(f"measurement vector length {a.shape} != basis size {basis.size}")
-    if not np.all(np.isfinite(a)):
-        k = int(np.flatnonzero(~np.isfinite(a))[0])
-        raise ValueError(f"measurement a[{k}] = {a[k]} is not finite")
+def check_measurement_range(basis: OperatorBasis, a) -> np.ndarray:
+    """a as require_vector reads it; each a_i must lie in the numerical range of A_i,
+    up to linalg.ROUNDOFF_TOL times the larger of 1 and A_i's spectral radius."""
+    a = require_vector("measurement vector a", a, basis.size)
     lo, hi = np.linalg.eigvalsh(basis.terms)[:, [0, -1]].T  # each term's least and greatest eigenvalue
     slack = linalg.ROUNDOFF_TOL * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
     out = np.flatnonzero((a < lo - slack) | (a > hi + slack))
@@ -283,6 +293,7 @@ def check_measurement_range(basis: OperatorBasis, a: np.ndarray) -> None:
             f"measurement a[{k}] = {a[k]:.6g} outside the numerical range "
             f"[{lo[k]:.6g}, {hi[k]:.6g}] of {term_name(basis.labels[k])}"
         )
+    return a
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -332,13 +343,8 @@ def basis_two_local(lattice: LatticeSpec, rng: np.random.Generator) -> OperatorB
 
 
 def assemble(basis: OperatorBasis, c: Sequence[float]) -> np.ndarray:
-    """H = sum_i c_i A_i, for a finite c with one entry per term."""
-    c = np.asarray(c, dtype=float)
-    if c.shape != (basis.size,):
-        raise ValueError(f"coefficient vector length {c.shape} != basis size {basis.size}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError(f"coefficient vector {shown(c.tolist())} is not finite")
-    return np.einsum("i,ijk->jk", c, basis.terms)
+    """H = sum_i c_i A_i, for a c that require_vector accepts."""
+    return np.einsum("i,ijk->jk", require_vector("coefficient vector c", c, basis.size), basis.terms)
 
 
 def separated(gaps) -> bool:
@@ -354,19 +360,15 @@ def levels_separated(basis: OperatorBasis, c: Sequence[float]) -> bool:
 def true_eigenstate(basis: OperatorBasis, c: Sequence[float], eigen_index) -> tuple:
     """(w, psi): the ascending spectrum of H(c) and its eigen_index-th eigenvector.
 
-    c (a truth's c_true) must pass assemble. eigen_index must be an integer
-    in [0, basis.dim), and its level must be separated from both neighbours
-    (see separated): the reconstruction target is not unique in a
-    (near-)degenerate level.
+    c (a truth's c_true, so named in a refusal) must pass require_vector.
+    eigen_index must be an integer in [0, basis.dim), and its level must be
+    separated from both neighbours (see separated): the reconstruction
+    target is not unique in a (near-)degenerate level.
     """
     require_int("eigen_index", eigen_index)
     if not 0 <= eigen_index < basis.dim:
         raise ValueError(f"eigen_index {shown(eigen_index)} out of range for dimension {basis.dim}")
-    try:
-        h = assemble(basis, c)
-    except ValueError as exc:
-        raise ValueError(f"c_true: {exc}") from None
-    w, u = np.linalg.eigh(h)
+    w, u = np.linalg.eigh(assemble(basis, require_vector("c_true", c, basis.size)))
     gaps = np.diff(w)[max(eigen_index - 1, 0) : eigen_index + 1]
     if not separated(gaps):
         raise DegenerateEigenstateError(f"eigenvalue {eigen_index} is degenerate (gap {gaps.min():.3e} to a neighbour)")
@@ -377,6 +379,6 @@ def eigenstate_measurements(basis: OperatorBasis, c: Sequence[float], eigen_inde
     """Measure every basis term on the eigen_index-th eigenstate of H(c) (see true_eigenstate)."""
     c = np.asarray(c, dtype=float)
     _, psi = true_eigenstate(basis, c, eigen_index)
-    # kept terms are exactly Hermitian: expectations are real up to round-off (copied: a dot with a strided a differs)
-    a = (psi.conj() @ (basis.terms @ psi)[..., None])[:, 0].real.copy()
+    # kept terms are exactly Hermitian: expectations are real up to round-off
+    a = (psi.conj() @ (basis.terms @ psi)[..., None])[:, 0].real
     return MeasurementRecord(a=a, truth=Truth(c_true=c.copy(), eigen_index=eigen_index))

@@ -275,11 +275,11 @@ def _hop_proposal(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     scale = float(rng.choice(HOP_SCALE_CHOICES))
     sigma = float(rng.choice(HOP_SIGMA_CHOICES))
     noise = rng.standard_normal(x.size)
-    xn = float(np.linalg.norm(x))
+    xn = _norm(x)
     if xn == 0.0:
-        return HOP_MIN_NORM * noise / float(np.linalg.norm(noise))
+        return HOP_MIN_NORM * noise / _norm(noise)
     prop = x / xn + sigma * noise
-    return max(scale * xn, HOP_MIN_NORM) * prop / float(np.linalg.norm(prop))
+    return max(scale * xn, HOP_MIN_NORM) * prop / _norm(prop)
 
 
 def _restart_steps(obj: ReconstructionObjective, cfg: SolveConfig):

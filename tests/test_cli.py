@@ -443,9 +443,9 @@ class TestErrors:
             ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "re": [[1, 1], [0, -1]]}}]},
              "error: term A1 is not Hermitian: max|A - A^dag| = 1.000e+00 > 1.0e-10\n"),
             # a truth the basis (d = 4, two terms) cannot hold is refused before the solve
-            ("record", record_with(c_true=[0.5]), "error: c_true: coefficient vector length (1,) != basis size 2\n"),
-            ("record", record_with(c_true=[float("nan"), 0.5]), "error: c_true: coefficient vector [nan, 0.5] is not finite\n"),
-            ("record", record_with(c_true=[float("inf"), 0.5]), "error: c_true: coefficient vector [inf, 0.5] is not finite\n"),
+            ("record", record_with(c_true=[0.5]), "error: c_true must be a real vector of shape (2,), got [0.5]\n"),
+            ("record", record_with(c_true=[float("nan"), 0.5]), "error: c_true entry 0 must be finite, got nan\n"),
+            ("record", record_with(c_true=[float("inf"), 0.5]), "error: c_true entry 0 must be finite, got inf\n"),
             ("record", record_with(eigen_index=7), "error: eigen_index 7 out of range for dimension 4\n"),
             ("record", record_with(eigen_index=-1), "error: eigen_index -1 out of range for dimension 4\n"),
             ("record", record_with(eigen_index=1.5), "error: eigen_index must be an integer, got 1.5\n"),
@@ -537,7 +537,7 @@ class TestErrors:
         assert "NaN" in record_path.read_text()
         code = main(["solve", "--basis", str(out_dir / "basis_0000.json"), "--measurements", str(record_path)])
         assert code == EXIT_CONFIG_ERROR
-        assert "a[1] = nan is not finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: measurement vector a entry 1 must be finite, got nan\n"
 
     def test_exp_without_out(self, tmp_path, exp_config, capsys):
         code = main(["exp", "--config", str(exp_config)])

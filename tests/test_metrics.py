@@ -56,11 +56,12 @@ class TestEigenvalueRecovery:
     def test_unit_norm_projection(self):
         x = np.array([3.0, 4.0])
         a = np.array([1.0, 2.0])
-        assert abs(recover_eigenvalue(x, a) - (0.6 * 1.0 + 0.8 * 2.0)) < 1e-14
+        basis = OperatorBasis(dim=2, terms=[PAULI_X, PAULI_Z], labels=["x", "z"])
+        assert abs(recover_eigenvalue(basis, x, a) - (0.6 * 1.0 + 0.8 * 2.0)) < 1e-14
 
     def test_zero_vector(self):
         with pytest.raises(ValueError):
-            recover_eigenvalue(np.zeros(2), np.ones(2))
+            recover_eigenvalue(OperatorBasis(dim=2, terms=[PAULI_X, PAULI_Z], labels=["x", "z"]), np.zeros(2), np.ones(2))
 
 
 class TestEigenstateRecovery:

@@ -17,6 +17,7 @@ from hamlearn.operators import (
     basis_generic,
     basis_two_local,
     eigenstate_measurements,
+    shown,
 )
 
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -282,13 +283,13 @@ class TestForwardCache:
     def test_hit_still_validates_shape_and_finiteness(self):
         obj, x = generic_objective()
         obj.value(x)
-        with pytest.raises(ValueError, match="shape"):
-            obj.value(x.reshape(1, -1))  # the cached bytes, another shape
-        with pytest.raises(ValueError, match="shape"):
-            obj.gradient(x.reshape(-1, 1))
+        for method, wrong in ((obj.value, x.reshape(1, -1)), (obj.gradient, x.reshape(-1, 1))):  # cached bytes
+            with pytest.raises(ValueError) as info:
+                method(wrong)
+            assert str(info.value) == f"x must be a real vector of shape (3,), got {shown(wrong.tolist())}"
         bad = x.copy()
         bad[1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"^x entry 1 must be finite, got nan$"):
             obj.value(bad)
         assert obj.value(x) == obj.value(list(x))
 
@@ -361,9 +362,9 @@ class TestShiftedTerms:
         # every objective, not only a solve's, refuses a bad a by name where it
         # is built, before LAPACK meets a NaN in the first eigh
         basis = OperatorBasis(dim=2, terms=[PAULI_Z, PAULI_Z], labels=["z", "z2"])
-        with pytest.raises(ValueError, match=r"a\[0\] = nan is not finite"):
+        with pytest.raises(ValueError, match=r"^measurement vector a entry 0 must be finite, got nan$"):
             ReconstructionObjective(basis, [np.nan, 0.1])
-        with pytest.raises(ValueError, match=r"a\[0\] = nan is not finite"):
+        with pytest.raises(ValueError, match=r"^measurement vector a entry 0 must be finite, got nan$"):
             recover_eigenstate(basis, [1.0, 1.0], [np.nan, 0.1])
         with pytest.raises(ValueError, match=r"a\[1\] = 1.5 outside the numerical range \[-1, 1\] of term z2"):
             ReconstructionObjective(basis, [0.1, 1.5])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hamlearn import linalg
+from hamlearn.metrics import recover_eigenvalue
 from hamlearn.operators import (
     ECHO_MAX,
     DegenerateEigenstateError,
@@ -207,13 +208,12 @@ class TestBases:
         # a NaN or inf coefficient would make H, and every level read from
         # it, non-finite; true_eigenstate names the vector c_true
         basis = OperatorBasis(dim=2, terms=[PAULI_X, PAULI_Z], labels=["x", "z"])
-        message = f"coefficient vector [{bad}, 0.5] is not finite"
         with pytest.raises(ValueError) as info:
             assemble(basis, [bad, 0.5])
-        assert str(info.value) == message
+        assert str(info.value) == f"coefficient vector c entry 0 must be finite, got {bad}"
         with pytest.raises(ValueError) as info:
             true_eigenstate(basis, [bad, 0.5], 0)
-        assert str(info.value) == f"c_true: {message}"
+        assert str(info.value) == f"c_true entry 0 must be finite, got {bad}"
 
 
 class TestMeasurements:
@@ -329,7 +329,8 @@ class TestStackedTerms:
             a = np.array([(psi.conj() @ (term @ psi)).real for term in basis.terms])
             rec = eigenstate_measurements(basis, c, level)
             assert rec.a.tobytes() == a.tobytes()
-            assert rec.a.flags.c_contiguous  # a dot with a strided a can differ in its last bit
+            # rec.a is a strided view of the complex products: read by require_vector, it gives the loop's bits
+            assert recover_eigenvalue(basis, c, rec.a) == recover_eigenvalue(basis, c, a)
 
     @pytest.mark.parametrize("basis", loop_bases())
     def test_range_bounds_match_loop(self, basis):

@@ -338,8 +338,9 @@ class TestMeasurementRange:
     @pytest.mark.parametrize("a, k", [([np.nan, 0.1], 0), ([0.1, np.inf], 1), ([0.1, -np.inf], 1)])
     def test_rejects_non_finite(self, a, k):
         basis = OperatorBasis(dim=2, terms=[PAULI_Z, PAULI_Z], labels=["z", "z2"])
-        with pytest.raises(ValueError, match=rf"a\[{k}\] = .* is not finite"):
+        with pytest.raises(ValueError) as info:
             check_measurement_range(basis, a)
+        assert str(info.value) == f"measurement vector a entry {k} must be finite, got {a[k]}"
 
 
 class TestSolveHamiltonian:

@@ -8,14 +8,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamlearn import cli
 from hamlearn import objective as obj_mod
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
+from hamlearn.metrics import recover_eigenstate, recover_eigenvalue
 from hamlearn.objective import ReconstructionObjective
-from hamlearn.operators import OperatorBasis, basis_generic, check_measurement_range, eigenstate_measurements
+from hamlearn.operators import (
+    OperatorBasis,
+    assemble,
+    basis_generic,
+    check_measurement_range,
+    eigenstate_measurements,
+    true_eigenstate,
+)
 from test_objective import exact_gradient
 
 
@@ -99,6 +107,59 @@ def test_scale_covariance(inst, log2_s):
     assert big_obj.value(x) == s * s * fwd["v8"] + fwd["v9"]
     weighted = obj_mod._gradient(obj._ops, {**fwd, "v7": s * s * fwd["v7"]})
     assert np.array_equal(big_obj.gradient(x), s * weighted)
+
+
+def _vector_readers(basis, rec, x) -> list:
+    """(name, valid vector, read) for every reader of a vector of one entry per
+    term: read(v) passes v as the argument name, the others valid."""
+
+    def value_and_gradient(a, x):
+        obj = ReconstructionObjective(basis, a)  # a new objective, so no cached x answers
+        return obj.value(x), obj.gradient(x)
+
+    c, k, a = rec.truth.c_true, rec.truth.eigen_index, rec.a
+    return [
+        ("coefficient vector c", c, lambda v: assemble(basis, v)),
+        ("c_true", c, lambda v: true_eigenstate(basis, v, k)),
+        ("measurement vector a", a, lambda v: check_measurement_range(basis, v)),
+        ("measurement vector a", a, lambda v: value_and_gradient(v, x)),
+        ("x", x, lambda v: value_and_gradient(a, v)),
+        ("x", x, lambda v: recover_eigenvalue(basis, v, a)),
+        ("measurement vector a", a, lambda v: recover_eigenvalue(basis, x, v)),
+        ("x", x, lambda v: recover_eigenstate(basis, v, a)),
+        ("measurement vector a", a, lambda v: recover_eigenstate(basis, x, v)),
+    ]
+
+
+def _bits(out) -> bytes:
+    """The bytes of a reader's output: an array, a number or a tuple of them."""
+    return b"".join(map(_bits, out)) if isinstance(out, tuple) else np.asarray(out).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:ground space of Hs")  # recover_eigenstate warns of a near-degenerate ground
+@PROPERTY_SETTINGS
+@given(instances(), st.data())
+def test_one_rule_for_a_vector(inst, data):
+    # a list, a contiguous array and a strided view of the same values give
+    # the same bits; a vector one entry short or long, or holding NaN or
+    # +-inf, is refused with one ValueError that names the argument
+    basis, rec, x = inst
+    assume(np.linalg.norm(x) > 0)  # recover_eigenvalue and recover_eigenstate refuse a zero norm
+    m = basis.size
+    for name, v, read in _vector_readers(basis, rec, x):
+        wide = np.zeros(2 * m)
+        wide[::2] = v
+        want = _bits(read(np.array(v)))
+        assert _bits(read(list(map(float, v)))) == want, name
+        assert _bits(read(wide[::2])) == want, name
+        wrong = [v[:-1], np.append(v, v[0])]
+        for bad in (math.nan, math.inf, -math.inf):
+            wrong.append(np.array(v))
+            wrong[-1][data.draw(st.integers(0, m - 1))] = bad
+        for w in wrong:
+            with pytest.raises(ValueError) as info:
+                read(w)
+            assert str(info.value).startswith(f"{name} "), (name, str(info.value))
 
 
 # the d = 4 instance `gen` writes for this config, the config with its solve
