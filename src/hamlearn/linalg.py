@@ -7,6 +7,8 @@ always affordable.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 ROUNDOFF_TOL = 1e-10  # an input's round-off, per unit of the larger of 1 and its scale
@@ -14,23 +16,27 @@ ROUNDOFF_TOL = 1e-10  # an input's round-off, per unit of the larger of 1 and it
 MAX_DIM = 256
 
 
-def as_square(mat) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries."""
-    a = np.asarray(mat, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] < 1:
-        raise ValueError("matrix dimension must be >= 1")
-    if a.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {a.shape[0]} exceeds supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix contains non-finite entries")
+def require_matrix(name: str, value, dim: Optional[int] = None) -> np.ndarray:
+    """np.asarray(value, dtype=complex) if it is a square matrix of finite entries whose dimension is in
+    [1, MAX_DIM] and, if given, dim; else one ValueError starting with name."""
+    try:
+        a = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        raise ValueError(f"{name} must be a matrix of complex numbers, got type {type(value).__name__}") from None
+    want = "a square" if dim is None else f"a {dim} x {dim}"
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or (dim is not None and a.shape[0] != dim):
+        raise ValueError(f"{name} must be {want} matrix, got shape {a.shape}")
+    if not 1 <= a.shape[0] <= MAX_DIM:
+        raise ValueError(f"{name} must have a dimension in [1, {MAX_DIM}], got {a.shape[0]}")
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise ValueError(f"{name} entry ({i}, {j}) must be finite, got {a[i, j]}")
     return a
 
 
-def check_hermitian(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """a as a square matrix; a ValueError naming it if max|A - A^dag| exceeds the round-off of max|A_ij|."""
-    a = as_square(a)
+def check_hermitian(a, name: str, dim: Optional[int] = None) -> np.ndarray:
+    """a as require_matrix reads it; a ValueError naming it if max|A - A^dag| exceeds the round-off of max|A_ij|."""
+    a = require_matrix(name, a, dim)
     dev, tol = float(np.max(np.abs(a - a.conj().T))), ROUNDOFF_TOL * max(1.0, float(np.max(np.abs(a))))
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian: max|A - A^dag| = {dev:.3e} > {tol:.1e}")
@@ -63,10 +69,8 @@ def frechet_exp(x, e, method: str = "divided_difference") -> np.ndarray:
                             Kept as an independent cross-check route, and the
                             only code that loads scipy.
     """
-    x = check_hermitian(x)
-    e = as_square(e)
-    if e.shape != x.shape:
-        raise ValueError(f"dimension mismatch: X is {x.shape}, E is {e.shape}")
+    x = check_hermitian(x, "X")
+    e = require_matrix("E", e, x.shape[0])
     if method == "divided_difference":
         w, u = np.linalg.eigh(x)
         uh = u.conj().T

@@ -26,15 +26,23 @@ class ReconstructionReport:
 
 def hamiltonian_fidelity(h1, h2) -> float:
     """tr(H1 H2) / sqrt(tr H1^2 tr H2^2); invariant under positive rescaling."""
-    h1 = linalg.check_hermitian(h1)
-    h2 = linalg.check_hermitian(h2)
-    if h1.shape != h2.shape:
-        raise ValueError(f"dimension mismatch: {h1.shape} vs {h2.shape}")
+    h1 = linalg.check_hermitian(h1, "H1")
+    h2 = linalg.check_hermitian(h2, "H2", h1.shape[0])
     n1 = linalg.trace_product(h1, h1).real
     n2 = linalg.trace_product(h2, h2).real
     if n1 <= 0 or n2 <= 0:
         raise ValueError("fidelity undefined for the zero operator")
     return float(linalg.trace_product(h1, h2).real / np.sqrt(n1 * n2))
+
+
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """x, or x / max|x_i| where ||x|| underflows to 0 or overflows to inf: an x of the same direction
+    whose norm is finite and nonzero. ValueError if x is zero."""
+    if not x.any():
+        raise ValueError("coefficient vector is zero")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x)
+    return x / np.max(np.abs(x)) if norm == 0 or np.isinf(norm) else x
 
 
 def recover_eigenvalue(basis: OperatorBasis, x, a) -> float:
@@ -43,12 +51,9 @@ def recover_eigenvalue(basis: OperatorBasis, x, a) -> float:
     Only the unit-norm value is recoverable; the absolute scale of the
     coefficients is absorbed into the effective inverse temperature.
     """
-    x = require_vector("x", x, basis.size)
+    x = _scaled(require_vector("x", x, basis.size))
     a = require_vector("measurement vector a", a, basis.size)
-    norm = np.linalg.norm(x)
-    if norm == 0:
-        raise ValueError("coefficient vector is zero")
-    return float((x / norm) @ a)
+    return float((x / np.linalg.norm(x)) @ a)
 
 
 def recover_eigenstate(basis: OperatorBasis, x, a) -> np.ndarray:
@@ -57,11 +62,10 @@ def recover_eigenstate(basis: OperatorBasis, x, a) -> np.ndarray:
     Returned up to global phase; the first component above PHASE_TOL in
     magnitude is made real positive. A ground gap of at most HS2_GAP_TOL
     only warns: the returned vector is then one arbitrary member of the
-    ground space.
+    ground space. The eigenvectors depend on x's direction alone, so an x
+    whose norm under- or overflows is read as _scaled reads it.
     """
-    x = require_vector("x", x, basis.size)
-    if np.linalg.norm(x) == 0:
-        raise ValueError("coefficient vector is zero")
+    x = _scaled(require_vector("x", x, basis.size))
     fwd = ReconstructionObjective(basis, a)._forward(x)
     w, u = fwd["lam"], fwd["u"]
     if basis.dim > 1 and w[1] - w[0] <= HS2_GAP_TOL:  # levels first_positive_gap reads as one

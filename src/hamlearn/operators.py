@@ -47,12 +47,14 @@ def term_name(label) -> str:
     return f"term {shown(str(label))[1:-1]}"
 
 
-def require_int(name: str, value, minimum: Optional[int] = None) -> None:
-    """Raise ValueError unless value is an integer (not a bool) >= minimum."""
+def require_int(name: str, value, minimum: Optional[int] = None, maximum: Optional[int] = None) -> None:
+    """Raise ValueError unless value is an integer (not a bool) in [minimum, maximum]."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {shown(value)}")
 
 
 def require_json(name: str, value, kind: type = dict) -> None:
@@ -180,23 +182,19 @@ def matrix_to_json(a: np.ndarray) -> dict:
     return {"re": a.real.tolist(), "im": a.imag.tolist()}
 
 
-def matrix_from_json(obj, d: int, name: str) -> np.ndarray:
-    """The complex matrix of a {"re", "im"} payload. Each part is checked on
-    its own, since numpy would broadcast a 1 x 1 part against a d x d one,
-    and each entry as require_numbers checks one, since numpy would read a
-    bool or a numeric string as a number; name (the term) is in the
-    ValueError raised where either part is not a d x d array of finite numbers."""
+def matrix_from_json(obj, name: str) -> list:
+    """The complex rows of a {"re", "im"} payload, for linalg.require_matrix to read. Only what numpy would
+    accept is refused here, in a ValueError that names name: an entry require_numbers refuses (a bool, a
+    numeric string), and parts that differ in shape, which numpy would broadcast (a 1 x 1 re against a d x d im)."""
     require_json(name, obj)
-    parts = []
-    for part in ("re", "im"):
-        rows = obj.get(part)
-        require_json(f"{name} {part}", rows, list)
-        square = len(rows) == d and all(isinstance(row, list) and len(row) == d for row in rows)
-        a = np.array([require_numbers(f"{name} {part} row {i}", row) for i, row in enumerate(rows)]) if square else None
-        if a is None or not np.all(np.isfinite(a)):
-            raise ValueError(f"{name} {part} is not a {d} x {d} array of finite numbers")
-        parts.append(a)
-    return parts[0] + 1j * parts[1]
+    re, im = [], []
+    for part, rows in (("re", re), ("im", im)):
+        require_json(f"{name} {part}", obj.get(part), list)
+        rows.extend(require_numbers(f"{name} {part} row {i}", row) for i, row in enumerate(obj[part]))
+    if [len(row) for row in re] != [len(row) for row in im]:
+        raise ValueError(f"{name} re and im differ in shape")
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, a non-finite entry that require_matrix refuses
+        return [r + 1j * i for r, i in zip(re, im)]
 
 
 @dataclass
@@ -208,19 +206,18 @@ class OperatorBasis:
     labels: list
 
     def __post_init__(self):
+        require_int("basis dim", self.dim, 1, linalg.MAX_DIM)
         if len(self.terms) < 1:
             raise ValueError("basis needs at least one term")
         if len(self.labels) != len(self.terms):
             raise ValueError("labels/terms length mismatch")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("labels must be unique")
-        terms = [linalg.check_hermitian(t, term_name(lab)) for lab, t in zip(self.labels, self.terms)]
+        terms = [linalg.check_hermitian(t, term_name(lab), self.dim) for lab, t in zip(self.labels, self.terms)]
         # keep each term's Hermitian part (A + A^dag)/2, with A's own bits wherever A already equals
         # A^dag, in its slot of one stack: every real combination of the kept terms is then exactly Hermitian
-        self.terms = np.empty((len(terms), *terms[0].shape), dtype=complex)
-        for k, (lab, t) in enumerate(zip(self.labels, terms)):
-            if t.shape[0] != self.dim:
-                raise ValueError(f"{term_name(lab)} has dimension {t.shape[0]}, expected {self.dim}")
+        self.terms = np.empty((len(terms), self.dim, self.dim), dtype=complex)
+        for k, t in enumerate(terms):
             self.terms[k] = np.where(t == t.conj().T, t, (t + t.conj().T) / 2)
         self.terms.flags.writeable = False
 
@@ -236,15 +233,12 @@ class OperatorBasis:
     def from_json(cls, obj: dict) -> "OperatorBasis":
         """The basis of obj; keys it does not read, such as the n_qubits,
         term support and matrix dim of earlier versions' files, are ignored."""
-        require_int("basis dim", obj.get("dim"), 1)
         require_json("basis terms", obj.get("terms"), list)
         for k, t in enumerate(obj["terms"]):
             require_json(f"basis term {k}", t)
             require_json(f"basis term {k} label", t.get("label"), str)
-        terms = [
-            matrix_from_json(t.get("matrix"), obj["dim"], f"basis term {k} matrix") for k, t in enumerate(obj["terms"])
-        ]
-        return cls(dim=obj["dim"], terms=terms, labels=[t["label"] for t in obj["terms"]])
+        terms = [matrix_from_json(t.get("matrix"), f"basis term {k} matrix") for k, t in enumerate(obj["terms"])]
+        return cls(dim=obj.get("dim"), terms=terms, labels=[t["label"] for t in obj["terms"]])
 
 
 @dataclass
@@ -297,9 +291,8 @@ def check_measurement_range(basis: OperatorBasis, a) -> np.ndarray:
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
-    """E + E^dagger with the d^2 entries of E uniform on (-1,1) + i(-1,1)."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
+    """E + E^dagger with the d^2 entries of E uniform on (-1,1) + i(-1,1), for an integer d in [2, linalg.MAX_DIM]."""
+    require_int("d", d, 2, linalg.MAX_DIM)
     e = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
     return e + e.conj().T
 
@@ -310,9 +303,8 @@ def embed_two_local(a4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     Qubit 1 is the most significant tensor factor, so the result is bit-exact
     under serialization regardless of the edge.
     """
-    a4 = linalg.check_hermitian(a4)
-    if a4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 operator, got {a4.shape}")
+    a4 = linalg.check_hermitian(a4, "a4", 4)
+    require_qubits("n", n, 2)
     if not (1 <= i < j <= n):
         raise ValueError(f"qubit pair ({i},{j}) out of range for n = {n}")
     rest = [q for q in range(1, n + 1) if q != i and q != j]
@@ -327,9 +319,8 @@ def embed_two_local(a4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
 
 
 def basis_generic(d: int, m: int, rng: np.random.Generator) -> OperatorBasis:
-    """m independent dense random Hermitian terms of dimension d."""
-    if m < 1:
-        raise ValueError("need at least one term")
+    """m independent dense random Hermitian terms of dimension d (see random_hermitian), for an integer m >= 1."""
+    require_int("m", m, 1)
     terms = [random_hermitian(d, rng) for _ in range(m)]
     labels = [f"A{k + 1}" for k in range(m)]
     return OperatorBasis(dim=d, terms=terms, labels=labels)

@@ -428,9 +428,9 @@ class TestErrors:
              "error: basis term 0 label must be a string, got None\n"),
             # a part that is not d x d is refused, not broadcast against the other
             ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "re": [[1]]}}]},
-             "error: basis term 0 matrix re is not a 2 x 2 array of finite numbers\n"),
+             "error: basis term 0 matrix re and im differ in shape\n"),
             ("basis", {"dim": 2, "terms": [{**TERM, "matrix": {**TERM["matrix"], "im": [[0]]}}]},
-             "error: basis term 0 matrix im is not a 2 x 2 array of finite numbers\n"),
+             "error: basis term 0 matrix re and im differ in shape\n"),
             # an entry that is not a number is refused by term, part and entry, not read by numpy as one
             ("basis", {"dim": 2, "terms": [{"label": "A1", "matrix": {"re": [["1", "0"], ["0", "-1"]],
                                                                      "im": [[False, False], [False, False]]}}]},
@@ -470,13 +470,17 @@ class TestErrors:
             ("config", {"preset": "generic", "n_qubits": 2, "num_instances": 1, "m_terms": 2,
                         "solve": {"eps": DIGITS_401}},
              "error: eps must fit a float64, got a 401-digit integer\n"),
+            # a dimension past linalg.MAX_DIM is refused by the key that sizes it, and a term of
+            # another dimension by its label, as linalg.require_matrix refuses any matrix
+            ("basis", {"dim": 257, "terms": [TERM]}, "error: basis dim must be <= 256, got 257\n"),
+            ("basis", {"dim": 3, "terms": [TERM]}, "error: term A1 must be a 3 x 3 matrix, got shape (2, 2)\n"),
         ],
         ids=["basis_list", "record_list", "term_number", "matrix_list", "truth_number", "config_truncated",
              "terms_number", "dim_null", "dim_missing", "label_missing", "re_one_by_one", "im_one_by_one",
              "re_strings", "im_bools", "re_mixed_row", "not_hermitian",
              "c_true_short", "c_true_nan", "c_true_inf", "level_7", "level_negative", "level_float", "level_null",
              "level_degenerate", "a_ragged", "a_string", "c_true_ragged", "c_true_string", "a_401_digits",
-             "c_true_401_digits", "re_401_digits", "eps_401_digits"],
+             "c_true_401_digits", "re_401_digits", "eps_401_digits", "dim_257", "term_of_other_dimension"],
     )
     def test_solve_rejects_bad_files(self, tmp_path, exp_config, capsys, monkeypatch, name, text, message):
         instances = tmp_path / "instances"

@@ -15,29 +15,41 @@ def random_hermitian(d, rng, scale=1.0):
 
 
 class TestBasics:
-    def test_as_square_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            linalg.as_square(np.zeros((2, 3)))
+    def test_require_matrix_rejects_non_square(self):
+        with pytest.raises(ValueError) as info:
+            linalg.require_matrix("M", np.zeros((2, 3)))
+        assert str(info.value) == "M must be a square matrix, got shape (2, 3)"
+        with pytest.raises(ValueError) as info:
+            linalg.require_matrix("M", np.eye(3), 2)
+        assert str(info.value) == "M must be a 2 x 2 matrix, got shape (3, 3)"
 
-    def test_as_square_rejects_vector(self):
-        with pytest.raises(ValueError):
-            linalg.as_square(np.zeros(4))
+    def test_require_matrix_rejects_vector(self):
+        for value, message in [
+            (np.zeros(4), "M must be a square matrix, got shape (4,)"),
+            ([[1, 0], [0]], "M must be a matrix of complex numbers, got type list"),
+            ("eye", "M must be a matrix of complex numbers, got type str"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                linalg.require_matrix("M", value)
+            assert str(info.value) == message
 
-    def test_as_square_rejects_nan(self):
+    def test_require_matrix_rejects_nan(self):
         a = np.eye(2, dtype=complex)
-        a[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            linalg.as_square(a)
+        a[1, 0] = np.nan
+        with pytest.raises(ValueError) as info:
+            linalg.require_matrix("M", a)
+        assert str(info.value) == "M entry (1, 0) must be finite, got (nan+0j)"
 
-    def test_as_square_rejects_oversized(self):
-        d = linalg.MAX_DIM + 1
-        with pytest.raises(ValueError):
-            linalg.as_square(np.eye(d))
+    def test_require_matrix_rejects_oversized(self):
+        for d in (0, linalg.MAX_DIM + 1):
+            with pytest.raises(ValueError) as info:
+                linalg.require_matrix("M", np.eye(d))
+            assert str(info.value) == f"M must have a dimension in [1, {linalg.MAX_DIM}], got {d}"
 
     def test_check_hermitian_rejects(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            linalg.check_hermitian(a)
+        with pytest.raises(ValueError, match=r"^M is not Hermitian: max\|A - A\^dag\| = 1\.000e\+00 > 1\.0e-10$"):
+            linalg.check_hermitian(a, "M")
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
     def test_check_hermitian_tolerance_scales_with_largest_entry(self, scale):
@@ -45,7 +57,7 @@ class TestBasics:
         allowed = linalg.ROUNDOFF_TOL * max(1.0, scale)
         z = np.diag([scale, -scale])
         skew = np.array([[0.0, 1.0], [0.0, 0.0]])
-        linalg.check_hermitian(z + 0.9 * allowed * skew)
+        linalg.check_hermitian(z + 0.9 * allowed * skew, "term A1")
         with pytest.raises(ValueError, match="^term A1 is not Hermitian"):
             linalg.check_hermitian(z + 1.1 * allowed * skew, "term A1")
 
@@ -151,8 +163,9 @@ class TestFrechetDerivative:
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             linalg.frechet_exp(np.eye(2), np.eye(3))
+        assert str(info.value) == "E must be a 2 x 2 matrix, got shape (3, 3)"
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

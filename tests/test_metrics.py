@@ -48,8 +48,9 @@ class TestFidelity:
             hamiltonian_fidelity(np.zeros((2, 2)), PAULI_Z)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             hamiltonian_fidelity(np.eye(2), np.eye(3))
+        assert str(info.value) == "H2 must be a 2 x 2 matrix, got shape (3, 3)"
 
 
 class TestEigenvalueRecovery:
@@ -62,6 +63,17 @@ class TestEigenvalueRecovery:
     def test_zero_vector(self):
         with pytest.raises(ValueError):
             recover_eigenvalue(OperatorBasis(dim=2, terms=[PAULI_X, PAULI_Z], labels=["x", "z"]), np.zeros(2), np.ones(2))
+
+    def test_direction_of_extreme_norms(self):
+        # an x whose norm underflows to 0 or overflows to inf is read by its direction: both
+        # recoveries give what they give at [3, 6], to round-off, with no overflow on the way
+        rng = np.random.default_rng(5)
+        basis = basis_generic(4, 2, rng)
+        a = eigenstate_measurements(basis, rng.uniform(0, 1, 2), 1).a
+        lam, psi = recover_eigenvalue(basis, [3.0, 6.0], a), recover_eigenstate(basis, [3.0, 6.0], a)
+        for x in ([1.5e-305, 3e-305], [1e200, 2e200]):
+            assert abs(recover_eigenvalue(basis, x, a) - lam) <= 1e-15
+            assert np.max(np.abs(recover_eigenstate(basis, x, a) - psi)) <= 1e-12
 
 
 class TestEigenstateRecovery:

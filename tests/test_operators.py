@@ -135,8 +135,9 @@ class TestEmbedding:
             embed_two_local(np.eye(4), 2, 2, 3)
 
     def test_bad_shape(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             embed_two_local(np.eye(2), 1, 2, 2)
+        assert str(info.value) == "a4 must be a 4 x 4 matrix, got shape (2, 2)"
 
 
 class TestBases:
@@ -146,6 +147,21 @@ class TestBases:
         assert basis.size == 3
         assert basis.dim == 8
         assert basis.labels == ["A1", "A2", "A3"]
+        # each size is read as an integer in its range and named when refused
+        a4 = random_hermitian(4, rng)
+        for make, message in [
+            (lambda: random_hermitian(2.5, rng), "d must be an integer, got 2.5"),
+            (lambda: random_hermitian(1, rng), "d must be >= 2"),
+            (lambda: random_hermitian(257, rng), "d must be <= 256, got 257"),
+            (lambda: basis_generic(4.0, 2, rng), "d must be an integer, got 4.0"),
+            (lambda: basis_generic(4, 2.0, rng), "m must be an integer, got 2.0"),
+            (lambda: basis_generic(4, 0, rng), "m must be >= 1"),
+            (lambda: embed_two_local(a4, 1, 2, 2.0), "n must be an integer, got 2.0"),
+            (lambda: embed_two_local(a4, 1, 2, 9), "n must be <= 8 (dimension <= 256), got 9"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                make()
+            assert str(info.value) == message
 
     def test_two_local_chain(self):
         rng = np.random.default_rng(43)
@@ -193,8 +209,15 @@ class TestBases:
             OperatorBasis(dim=2, terms=[np.eye(2)], labels=["a", "b"])
         with pytest.raises(ValueError):
             OperatorBasis(dim=2, terms=[np.eye(2), np.eye(2)], labels=["a", "a"])
-        with pytest.raises(ValueError):
-            OperatorBasis(dim=3, terms=[np.eye(2)], labels=["a"])
+        for dim, message in [
+            (3, "term a must be a 3 x 3 matrix, got shape (2, 2)"),
+            (2.0, "basis dim must be an integer, got 2.0"),
+            (0, "basis dim must be >= 1"),
+            (257, "basis dim must be <= 256, got 257"),
+        ]:
+            with pytest.raises(ValueError) as info:
+                OperatorBasis(dim=dim, terms=[np.eye(2)], labels=["a"])
+            assert str(info.value) == message
 
     def test_assemble(self):
         basis = OperatorBasis(dim=2, terms=[PAULI_X, PAULI_Z], labels=["x", "z"])
@@ -387,23 +410,26 @@ class TestSerialization:
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(29)
         a = random_hermitian(4, rng)
-        back = matrix_from_json(matrix_to_json(a), 4, "matrix")
+        back = matrix_from_json(matrix_to_json(a), "matrix")
         assert np.array_equal(back, a)
 
     def test_matrix_from_json_shape_check(self):
-        # either part must be d x d and finite: numpy would broadcast a 1 x 1
-        # re or im against the other, and a 2 x 2 payload in a d = 3 basis is refused
+        # the parts must have one shape: numpy would broadcast a 1 x 1 re or im against the other
         zero = [[0, 0], [0, 0]]
-        for payload, d, part in [
-            ({"re": zero, "im": zero}, 3, "re"),
-            ({"re": [[1]], "im": zero}, 2, "re"),
-            ({"re": zero, "im": [[0]]}, 2, "im"),
-            ({"re": zero, "im": [[0, 0], [0]]}, 2, "im"),
-            ({"re": [[float("nan"), 0], [0, 0]], "im": zero}, 2, "re"),
+        for payload in [{"re": [[1]], "im": zero}, {"re": zero, "im": [[0]]}, {"re": zero, "im": [[0, 0], [0]]}]:
+            with pytest.raises(ValueError) as info:
+                matrix_from_json(payload, "term A1 matrix")
+            assert str(info.value) == "term A1 matrix re and im differ in shape"
+        # the basis reads the term as linalg.require_matrix reads any matrix, at its dimension
+        for payload, d, message in [
+            ({"re": zero, "im": zero}, 3, "term A1 must be a 3 x 3 matrix, got shape (2, 2)"),
+            ({"re": [[0, 0], [0]], "im": [[0, 0], [0]]}, 2, "term A1 must be a matrix of complex numbers, got type list"),
+            ({"re": [[float("nan"), 0], [0, 0]], "im": zero}, 2, "term A1 entry (0, 0) must be finite, got (nan+0j)"),
+            ({"re": zero, "im": [[0, float("inf")], [0, 0]]}, 2, "term A1 entry (0, 1) must be finite, got (nan+infj)"),
         ]:
             with pytest.raises(ValueError) as info:
-                matrix_from_json(payload, d, "term A1 matrix")
-            assert str(info.value) == f"term A1 matrix {part} is not a {d} x {d} array of finite numbers"
+                OperatorBasis.from_json({"dim": d, "terms": [{"label": "A1", "matrix": payload}]})
+            assert str(info.value) == message
         # each entry must be a number as require_numbers reads one: numpy would
         # read null as NaN, and a bool or a numeric string as a number
         for payload, where in [
@@ -414,7 +440,7 @@ class TestSerialization:
             ({"re": [[1, True], [1, -1]], "im": zero}, "re row 0 entry 1 must be a number, got True"),
         ]:
             with pytest.raises(ValueError) as info:
-                matrix_from_json(payload, 2, "term A1 matrix")
+                matrix_from_json(payload, "term A1 matrix")
             assert str(info.value) == f"term A1 matrix {where}"
 
     def test_record_round_trip(self, tmp_path):

@@ -1,5 +1,6 @@
 """Property-based tests of the objective's invariants on random generic
-bases, and of the file readers on inputs with one value replaced."""
+bases, of the readers of a vector or matrix argument, and of the file
+readers on inputs with one value replaced."""
 
 import contextlib
 import io
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hamlearn import cli
+from hamlearn import cli, linalg
 from hamlearn import objective as obj_mod
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
-from hamlearn.metrics import recover_eigenstate, recover_eigenvalue
+from hamlearn.metrics import hamiltonian_fidelity, recover_eigenstate, recover_eigenvalue
 from hamlearn.objective import ReconstructionObjective
 from hamlearn.operators import (
     OperatorBasis,
@@ -22,6 +23,8 @@ from hamlearn.operators import (
     basis_generic,
     check_measurement_range,
     eigenstate_measurements,
+    embed_two_local,
+    random_hermitian,
     true_eigenstate,
 )
 from test_objective import exact_gradient
@@ -144,7 +147,7 @@ def test_one_rule_for_a_vector(inst, data):
     # the same bits; a vector one entry short or long, or holding NaN or
     # +-inf, is refused with one ValueError that names the argument
     basis, rec, x = inst
-    assume(np.linalg.norm(x) > 0)  # recover_eigenvalue and recover_eigenstate refuse a zero norm
+    assume(x.any())  # recover_eigenvalue and recover_eigenstate refuse an all-zero x
     m = basis.size
     for name, v, read in _vector_readers(basis, rec, x):
         wide = np.zeros(2 * m)
@@ -156,6 +159,53 @@ def test_one_rule_for_a_vector(inst, data):
         for bad in (math.nan, math.inf, -math.inf):
             wrong.append(np.array(v))
             wrong[-1][data.draw(st.integers(0, m - 1))] = bad
+        for w in wrong:
+            with pytest.raises(ValueError) as info:
+                read(w)
+            assert str(info.value).startswith(f"{name} "), (name, str(info.value))
+
+
+def _matrix_readers(t, a4) -> list:
+    """(name, valid matrix, dim, read) for every public reader of a d x d matrix: read(v) passes v as the
+    argument name, the others valid; dim is the dimension the reader holds v to, None for any in range."""
+    d = t.shape[0]
+    return [
+        ("term A1", t, d, lambda v: OperatorBasis(dim=d, terms=[v], labels=["A1"]).terms),
+        ("M", t, None, lambda v: linalg.check_hermitian(v, "M")),
+        ("M", t, d, lambda v: linalg.check_hermitian(v, "M", d)),
+        ("X", t, None, lambda v: linalg.frechet_exp(v, t)),
+        ("E", t, d, lambda v: linalg.frechet_exp(t, v)),
+        ("H1", t, None, lambda v: hamiltonian_fidelity(v, t)),
+        ("H2", t, d, lambda v: hamiltonian_fidelity(t, v)),
+        ("a4", a4, 4, lambda v: embed_two_local(v, 1, 3, 3)),
+    ]
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 8]), st.data())
+def test_one_rule_for_a_matrix(seed, d, data):
+    # a nested list, a contiguous array and a strided view of the same matrix
+    # give the same bits; a value numpy cannot read as complex numbers, one
+    # that is not a square matrix, one of the wrong dimension and one holding
+    # NaN or +-inf are refused with one ValueError that names the argument
+    rng = np.random.default_rng(seed)
+    t, a4 = random_hermitian(d, rng), random_hermitian(4, rng)
+    for name, v, dim, read in _matrix_readers(t, a4):
+        n = v.shape[0]
+        big = np.zeros((2 * n, 2 * n), dtype=complex)
+        big[::2, ::2] = v
+        want = _bits(read(np.array(v)))
+        assert _bits(read(v.tolist())) == want, name
+        assert _bits(read(big[::2, ::2])) == want, name
+        ragged = v.tolist()
+        ragged[-1] = ragged[-1][:-1]
+        wrong = [ragged, str(v.tolist()), v[0], v[None], v[:, :-1], np.zeros((0, 0)), np.eye(linalg.MAX_DIM + 1)]
+        if dim is not None:
+            wrong.append(np.eye(n + 1))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        for bad in (math.nan, math.inf, -math.inf):
+            wrong.append(np.array(v))
+            wrong[-1][i, j] = complex(bad, 0) if data.draw(st.booleans()) else complex(0, bad)
         for w in wrong:
             with pytest.raises(ValueError) as info:
                 read(w)
