@@ -183,9 +183,9 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj, name: str) -> list:
-    """The complex rows of a {"re", "im"} payload, for linalg.require_matrix to read. Only what numpy would
-    accept is refused here, in a ValueError that names name: an entry require_numbers refuses (a bool, a
-    numeric string), and parts that differ in shape, which numpy would broadcast (a 1 x 1 re against a d x d im)."""
+    """The complex rows of a {"re", "im"} payload for linalg.require_matrix, each entry its (re, im) pair viewed as
+    one complex128 (re + 1j * im would make an infinite im nan + inf j). Only what numpy would accept is refused here,
+    naming name: an entry require_numbers refuses (a bool, a numeric string) and parts that differ in shape."""
     require_json(name, obj)
     re, im = [], []
     for part, rows in (("re", re), ("im", im)):
@@ -193,8 +193,7 @@ def matrix_from_json(obj, name: str) -> list:
         rows.extend(require_numbers(f"{name} {part} row {i}", row) for i, row in enumerate(obj[part]))
     if [len(row) for row in re] != [len(row) for row in im]:
         raise ValueError(f"{name} re and im differ in shape")
-    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j, a non-finite entry that require_matrix refuses
-        return [r + 1j * i for r, i in zip(re, im)]
+    return [np.column_stack((r, i)).view(complex).ravel() for r, i in zip(re, im)]
 
 
 @dataclass
@@ -305,6 +304,8 @@ def embed_two_local(a4: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
     """
     a4 = linalg.check_hermitian(a4, "a4", 4)
     require_qubits("n", n, 2)
+    require_int("qubit i", i)
+    require_int("qubit j", j)
     if not (1 <= i < j <= n):
         raise ValueError(f"qubit pair ({i},{j}) out of range for n = {n}")
     rest = [q for q in range(1, n + 1) if q != i and q != j]

@@ -116,60 +116,58 @@ def _drive(steps, answer):
 
 
 def _wolfe_steps(x, p, f0, slope):
-    """Strong Wolfe line search along x + a p (bracket, then zoom with cubic
-    interpolation) as a generator: yields each trial point x + a p, is sent
-    back (f, grad f) there, and returns (a, f, point, gradient) of the step it
-    accepts, always its last trial. Needs slope = grad f(x) . p < 0. Steps are
-    capped at max(1, 1e3 (1 + ||x||) / ||p||): one search never jumps more than
+    """Strong Wolfe line search along x + a p as a generator: yields each
+    trial point x + a p, is sent back (f, grad f) there, and returns
+    (a, f, point, gradient) of the step it accepts, always its last trial.
+    Needs slope = grad f(x) . p < 0. Steps are capped at
+    a_max = max(1, 1e3 (1 + ||x||) / ||p||): one search never jumps more than
     three decades past x, and runaway directions meet the norm cap.
 
-    Raises _LineSearchFailure when LINE_SEARCH_MAX_EVALS trials find no
-    acceptable step, or when zoom's bracket can no longer tell two steps
-    apart: either its width is below 1e-16 * max(1, |a_lo|), or the largest
-    change of f it can hold, width * |slope|, is within one unit of round-off
-    of f0 (Moré & Thuente's "rounding errors prevent progress").
+    One loop of at most LINE_SEARCH_MAX_EVALS trials keeps a low end
+    (a_lo, f_lo, g_lo), first (0, f0, slope), and a high end, None until a
+    step is bracketed. Unbracketed, the trials are 1 (as a_max >= 1), then
+    doublings up to a_max; bracketed, the cubic interpolant's minimizer, or
+    the midpoint when that is outside the bracket's middle 90%. A trial above
+    the sufficient-decrease line, or not below f_lo (unbracketed: once
+    a_lo > 0), becomes the high end; one that meets the curvature test is
+    accepted; of the rest, one whose slope points back at the low end
+    (ga >= 0 unbracketed, ga (a_hi - a_lo) >= 0 bracketed) moves it to the
+    high end and takes its place, one still unbracketed at a_max is
+    accepted, and any other becomes the low end.
+
+    Raises _LineSearchFailure when the trials run out, or when the bracket
+    can no longer tell two steps apart: its width is below 1e-16 max(1,
+    |a_lo|), or width * |slope|, the largest change of f it can hold, is
+    within round-off of f0 ("rounding errors prevent progress", Moré & Thuente).
     """
     eps = math.ulp(1.0)  # machine epsilon
     a_max = max(1.0, 1e3 * (1.0 + _norm(x)) / _norm(p))
-
-    def zoom(spent, a_lo, f_lo, g_lo, a_hi, f_hi, g_hi):
-        for _ in range(spent, LINE_SEARCH_MAX_EVALS):
-            a = _cubic_minimum(a_lo, f_lo, g_lo, a_hi, f_hi, g_hi)
-            lo, hi = min(a_lo, a_hi), max(a_lo, a_hi)
+    a_lo, f_lo, g_lo = 0.0, f0, slope
+    high = None  # (a_hi, f_hi, g_hi) once a trial brackets a step
+    for _ in range(LINE_SEARCH_MAX_EVALS):
+        if high is None:
+            a = min(max(2 * a_lo, 1.0), a_max)  # a_lo is the last trial, or 0 before the first
+        else:
+            a = _cubic_minimum(a_lo, f_lo, g_lo, *high)
+            lo, hi = min(a_lo, high[0]), max(a_lo, high[0])
             width = hi - lo
             if a is None or not (lo + 0.05 * width < a < hi - 0.05 * width):
-                a = 0.5 * (a_lo + a_hi)
+                a = 0.5 * (a_lo + high[0])
             if width < 1e-16 * max(1.0, abs(a_lo)) or width * -slope <= eps * f0:
                 raise _LineSearchFailure
-            xa = x + a * p
-            fa, grad = yield xa
-            ga = float(grad @ p)
-            if fa > f0 + WOLFE_C1 * a * slope or fa >= f_lo:
-                a_hi, f_hi, g_hi = a, fa, ga
-            else:
-                if abs(ga) <= -WOLFE_C2 * slope:
-                    return a, fa, xa, grad
-                if ga * (a_hi - a_lo) >= 0:
-                    a_hi, f_hi, g_hi = a_lo, f_lo, g_lo
-                a_lo, f_lo, g_lo = a, fa, ga
-        raise _LineSearchFailure
-
-    a_prev, f_prev, g_prev = 0.0, f0, slope
-    a = min(1.0, a_max)
-    for spent in range(1, LINE_SEARCH_MAX_EVALS + 1):
         xa = x + a * p
         fa, grad = yield xa
         ga = float(grad @ p)
-        if fa > f0 + WOLFE_C1 * a * slope or (a_prev > 0 and fa >= f_prev):
-            return (yield from zoom(spent, a_prev, f_prev, g_prev, a, fa, ga))
-        if abs(ga) <= -WOLFE_C2 * slope:
+        if fa > f0 + WOLFE_C1 * a * slope or (fa >= f_lo and (high is not None or a_lo > 0)):
+            high = (a, fa, ga)
+        elif abs(ga) <= -WOLFE_C2 * slope:
             return a, fa, xa, grad
-        if ga >= 0:
-            return (yield from zoom(spent, a, fa, ga, a_prev, f_prev, g_prev))
-        if a >= a_max:  # capped extension: accept the Armijo-satisfying step
-            return a, fa, xa, grad
-        a_prev, f_prev, g_prev = a, fa, ga
-        a = min(2 * a, a_max)
+        else:
+            if (ga >= 0) if high is None else (ga * (high[0] - a_lo) >= 0):
+                high = (a_lo, f_lo, g_lo)
+            elif high is None and a >= a_max:  # capped extension: accept the Armijo-satisfying step
+                return a, fa, xa, grad
+            a_lo, f_lo, g_lo = a, fa, ga
     raise _LineSearchFailure
 
 

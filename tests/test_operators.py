@@ -158,6 +158,10 @@ class TestBases:
             (lambda: basis_generic(4, 0, rng), "m must be >= 1"),
             (lambda: embed_two_local(a4, 1, 2, 2.0), "n must be an integer, got 2.0"),
             (lambda: embed_two_local(a4, 1, 2, 9), "n must be <= 8 (dimension <= 256), got 9"),
+            # qubit indices are integers as LatticeSpec reads an edge's: not 1.5, nor True for qubit 1
+            (lambda: embed_two_local(a4, 1.5, 2, 2), "qubit i must be an integer, got 1.5"),
+            (lambda: embed_two_local(a4, True, 2, 2), "qubit i must be an integer, got True"),
+            (lambda: embed_two_local(a4, 1, 2.0, 2), "qubit j must be an integer, got 2.0"),
         ]:
             with pytest.raises(ValueError) as info:
                 make()
@@ -386,8 +390,10 @@ class TestSerialization:
         back = OperatorBasis.from_json(read_json(path))
         assert back.dim == basis.dim
         assert back.labels == basis.labels
-        for a, b in zip(back.terms, basis.terms):
-            assert np.array_equal(a, b)
+        # bit for bit, signed zeros too: each entry keeps the (re, im) pair the file holds
+        assert back.terms.tobytes() == basis.terms.tobytes()
+        assert np.signbit(basis.terms.real[basis.terms.real == 0]).any()
+        assert np.signbit(basis.terms.imag[basis.terms.imag == 0]).any()
         # a file holds what a solve reads: the dimension, and each term's label and matrix
         assert set(basis.to_json()) == {"dim", "terms"}
         assert all(set(t) == {"label", "matrix"} for t in basis.to_json()["terms"])
@@ -425,7 +431,9 @@ class TestSerialization:
             ({"re": zero, "im": zero}, 3, "term A1 must be a 3 x 3 matrix, got shape (2, 2)"),
             ({"re": [[0, 0], [0]], "im": [[0, 0], [0]]}, 2, "term A1 must be a matrix of complex numbers, got type list"),
             ({"re": [[float("nan"), 0], [0, 0]], "im": zero}, 2, "term A1 entry (0, 0) must be finite, got (nan+0j)"),
-            ({"re": zero, "im": [[0, float("inf")], [0, 0]]}, 2, "term A1 entry (0, 1) must be finite, got (nan+infj)"),
+            # an infinite part is shown as the file holds it: 1j * inf would read as nan + inf j
+            ({"re": zero, "im": [[0, float("inf")], [0, 0]]}, 2, "term A1 entry (0, 1) must be finite, got infj"),
+            ({"re": zero, "im": [[0, 0], [float("-inf"), 0]]}, 2, "term A1 entry (1, 0) must be finite, got -infj"),
         ]:
             with pytest.raises(ValueError) as info:
                 OperatorBasis.from_json({"dim": d, "terms": [{"label": "A1", "matrix": payload}]})

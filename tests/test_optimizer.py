@@ -63,22 +63,79 @@ class TestSolveConfig:
 
 
 class _Line:
-    """Answers a line search along the 1-D line x = a, p = 1 with
-    (phi(a), [dphi(a)]), counting the calls."""
+    """Answers a line search from x = 0 along p (a 1-vector) with
+    (phi(t), [dphi(t)]) at the point t = a p, recording each trial point."""
 
     def __init__(self, phi, dphi):
-        self.phi, self.dphi, self.calls = phi, dphi, 0
+        self.phi, self.dphi, self.trials = phi, dphi, []
+
+    @property
+    def calls(self):
+        return len(self.trials)
 
     def __call__(self, point):
-        self.calls += 1
-        (a,) = point
-        return self.phi(a), np.array([self.dphi(a)])
+        (t,) = point
+        self.trials.append(t)
+        return self.phi(t), np.array([self.dphi(t)])
 
-    def search(self, f0, slope):
-        return _drive(_wolfe_steps(np.zeros(1), np.ones(1), f0, slope), self)
+    def search(self, f0, slope, p=1.0):
+        return _drive(_wolfe_steps(np.zeros(1), np.array([p]), f0, slope), self)
+
+
+def _cubic_wall(a):
+    # f = -a up to a = 0.1, then a steep cubic wall: the cubic step past the
+    # wall's foot lands beyond the minimum, where f is still below f(0)
+    return -a + 100 * max(0.0, a - 0.1) ** 3, -1 + 300 * max(0.0, a - 0.1) ** 2
+
+
+# (phi, dphi, p, the trial points, the returned step or None for a failure),
+# one per transition of the search's state; a_max is 1000 along p = 1
+WOLFE_TRIALS = {
+    # every trial passes sufficient decrease and fails curvature: the steps
+    # double up to a_max, where the search takes the capped step
+    "extend_to_a_max": (
+        lambda t: -t, lambda t: -1.0, 1.0, [2.0**k for k in range(10)] + [1000.0], 1000.0),
+    # the first trial breaks sufficient decrease: bracket [0, 1], and the
+    # cubic step (the minimizer of this quadratic) meets curvature
+    "armijo_fails_first": (
+        lambda t: (t - 0.1) ** 2, lambda t: 2 * (t - 0.1), 1.0, [1.0, 0.09999999999999987], 0.09999999999999987),
+    # a positive slope at the first trial while unbracketed: the bracket is
+    # (1, 0), low end first, and the cubic step lands on the minimum 2/3
+    "positive_slope_unbracketed": (
+        lambda t: -t + 0.75 * t**3, lambda t: -1 + 2.25 * t**2, 1.0, [1.0, 0.6666666666666666], 0.6666666666666666),
+    # the bracketed swap rule, ga (a_hi - a_lo) >= 0: the second trial has f
+    # below f(0) but a slope pointing back at the low end 0, which moves to
+    # the high end
+    "bracketed_swap": (
+        lambda t: _cubic_wall(t)[0], lambda t: _cubic_wall(t)[1], 1.0,
+        [1.0, 0.18518518518518512, 0.14749998324149532], 0.14749998324149532),
+    # f(1) equals f0 and f0 + c1 slope rounds to f0: a trial that does not
+    # undercut f_lo brackets only once a_lo > 0, so the first trial, where
+    # f' = 0, is accepted (without that guard the search tries 1, then 1/3)
+    "no_rise_from_a_lo_0": (
+        lambda t: 1e-15 - 1e-30 * t * (1 - t) ** 2, lambda t: -1e-30 * (1 - t) * (1 - 3 * t), 1.0, [1.0], 1.0),
+    # the budget runs out while unbracketed: a_max = 1e33 along p = 1e-30
+    "budget_unbracketed": (
+        lambda t: -t, lambda t: -1.0, 1e-30, [2.0**k * 1e-30 for k in range(LINE_SEARCH_MAX_EVALS)], None),
+    # the last trial of the budget brackets a step, which leaves none to narrow it
+    "budget_brackets_last": (
+        lambda t: -t if t < 1.5 * 2.0**58 * 1e-30 else 1.0, lambda t: -1.0, 1e-30,
+        [2.0**k * 1e-30 for k in range(LINE_SEARCH_MAX_EVALS)], None),
+}
 
 
 class TestWolfeSearch:
+    @pytest.mark.parametrize("phi, dphi, p, trials, step", WOLFE_TRIALS.values(), ids=WOLFE_TRIALS.keys())
+    def test_trials(self, phi, dphi, p, trials, step):
+        line = _Line(phi, dphi)
+        if step is None:
+            with pytest.raises(_LineSearchFailure):
+                line.search(phi(0.0), dphi(0.0) * p, p)
+        else:
+            a, fa, point, grad = line.search(phi(0.0), dphi(0.0) * p, p)
+            assert a == step and fa == phi(a * p) and point.tolist() == [a * p] and grad.tolist() == [dphi(a * p)]
+        assert line.trials == trials
+
     def test_round_off_flat_line_fails_fast(self):
         # a line that is stationary to round-off: f rises by 1e-13 at every
         # a > 0, which no step can undercut, and the slope is 1e-16 * f0
@@ -119,7 +176,7 @@ class TestWolfeSearch:
         ids=["same_point", "negative_discriminant", "zero_denominator"],
     )
     def test_cubic_minimum_unusable(self, point, why):
-        # zoom then bisects its bracket
+        # the search then bisects its bracket
         assert _cubic_minimum(*point) is None, why
 
 
