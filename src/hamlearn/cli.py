@@ -107,11 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=1,
-        help="1 (default) solves one row at a time; T >= 2 solves rows of d <= 16 "
+        help="1 (default) solves one row at a time; any T >= 2 solves rows of d <= 16 "
         "in lockstep on one worker, evaluating all their pending points in one "
-        "stacked call per step, and runs wider rows one at a time on a pool of T "
-        "threads (at d = 128 on 2 cores, about half the wall time for the same CPU); "
-        "rows are identical either way but wall_ms",
+        "stacked call per step, and wider rows one at a time, as 1 does; no "
+        "thread is started, and rows are identical either way but wall_ms",
     )
     p_exp.set_defaults(func=cmd_exp)
 

@@ -4,7 +4,7 @@ reporting, and aggregate summaries.
 Randomness is split from the master seed: instance i draws its Hamiltonian
 and levels from SeedSequence(master_seed, spawn_key=(i, 0)), which every row
 of a level sweep shares, and row r its solver restarts from spawn_key=(r, 1),
-so rows can run in parallel and still reproduce byte-identically.
+so rows can run in lockstep and still reproduce byte-identically.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class ResultRow:
     lambda_hat: float
     state_overlap: Optional[float]
     converged: bool
-    wall_ms: float  # draw to report; with threads >= 2 it includes the rows solved alongside
+    wall_ms: float  # draw to report; in lockstep it includes the rows solved alongside
     seed: int
 
     def to_json(self) -> dict:
@@ -213,20 +213,15 @@ def _row_steps(cfg: ExperimentConfig, row_id: int, instance_index: int, eigen_in
 
 
 # Rows the lockstep worker stacks at d <= STACK_DIM_MAX; wider rows run
-# _run_row, one per thread of a pool. Measured (2 cores, one BLAS thread): at
-# d = 16, m = 3 a stacked evaluation costs 115-118 us a row alone, 79-93 at 2
-# rows, 63-66 at 8 and 57-64 at 16. A second stacking worker bought no wall
-# time for a quarter more CPU (the GIL serialises its small calls), hence one.
+# _run_row one at a time. Measured (2 cores, one BLAS thread): at d = 16,
+# m = 3 a stacked evaluation costs 115-118 us a row alone, 79-93 at 2 rows,
+# 63-66 at 8 and 57-64 at 16. A second stacking worker bought no wall time
+# for a quarter more CPU (the GIL serialises its small calls), hence one.
 # 40 generic n=4 rows took 1.29-1.44 s with 8 in flight, 1.28-1.51 s with 16
 # and 1.34-1.43 s with 40, and 8, 16, 24 and 40 peaked at 38.2, 39.2, 40.2
 # and 41.9 MB, so 8; at d = 4 and 8, 8 also took less CPU than 1 or 4. At
 # d = 32 a row costs 249-269 us alone, 285-445 at 2 and 246-261 at 8, and at
-# d = 64 four cost 1.1x-1.7x a row: wide rows are not stacked. The pool gains
-# by overlapping products (numpy 2.4.6): two threads took 1.1x-1.6x one's wall
-# for their share of @ at d = 128-256, but 1.8x-2.3x of eigh at d = 16-64,
-# which holds the GIL. At threads = 2, 8 rows at d = 64 took 2.1-2.9 s of wall
-# against 4.0 s serial and 2 at d = 128 6.4-7.4 s against 11.3 s (less where
-# rows differ in length); 6 at d = 32 took 1.09-1.24 s against 1.07-1.27 s.
+# d = 64 four cost 1.1x-1.7x a row: wide rows are not stacked.
 ROWS_IN_FLIGHT = 8
 STACK_DIM_MAX = 16
 
@@ -271,9 +266,11 @@ def _lockstep_worker(cfg: ExperimentConfig, tasks: list) -> dict:
         while pending and len(flights) < ROWS_IN_FLIGHT:
             row_id, instance_index, eigen_index = pending.popleft()
             steps = _row_steps(cfg, row_id, instance_index, eigen_index)
-            try:  # the row's objective, then its first point
+            try:  # the row's objective, then its first point: a row the probe wins has none
                 flights.append((row_id, steps, next(steps), next(steps)))
                 ops = None
+            except StopIteration as stop:
+                done[row_id] = stop.value
             except Exception as exc:
                 done[row_id] = exc
         if not flights:
@@ -299,22 +296,18 @@ def _lockstep_worker(cfg: ExperimentConfig, tasks: list) -> dict:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     """Run the full suite; rows come back in instance-id order.
 
-    threads = 1 solves one row at a time. With threads = T >= 2, rows of
+    threads = 1 solves one row at a time. With threads >= 2, rows of
     d <= STACK_DIM_MAX are solved by one lockstep worker (see
     _lockstep_worker) in the calling thread, ROWS_IN_FLIGHT rows at a time:
-    a second worker would only contend for the GIL. Wider rows run _run_row,
-    as the serial run does, in a pool of T threads. The rows are the same
+    a second worker would only contend for the GIL. Wider rows run one at a
+    time, as at threads = 1. No path starts a thread. The rows are the same
     bits either way but wall_ms; an exception raised by any row is raised
     here, the lowest row id's first, as the serial run raises it.
     """
     require_int("threads", threads, 1)
     tasks = _row_tasks(cfg)
-    if threads == 1:
+    if threads == 1 or 2**cfg.n_qubits > STACK_DIM_MAX:
         return [_run_row(cfg, *t) for t in tasks]
-    if 2**cfg.n_qubits > STACK_DIM_MAX:
-        from concurrent.futures import ThreadPoolExecutor  # only wide rows load the pool's modules
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            return list(executor.map(lambda t: _run_row(cfg, *t), tasks))
     done = _lockstep_worker(cfg, tasks)
     rows = [done[row_id] for row_id, _, _ in tasks]
     for row in rows:

@@ -23,6 +23,7 @@ from . import linalg
 from .operators import OperatorBasis, check_measurement_range, require_vector
 
 HS2_GAP_TOL = 1e-12  # levels of Hs^2 closer than this count as one
+RAY_SCALES = np.logspace(0.0, 5.0, 400)  # the norms t at which log_partition tests f along its ray
 
 
 @dataclass
@@ -204,6 +205,39 @@ class ReconstructionObjective:
     def gradient(self, x) -> np.ndarray:
         """Exact gradient by one adjoint (reverse-mode) pass; see _gradient."""
         return _gradient(self._ops, self._forward(x))
+
+    def log_partition(self, x) -> tuple:
+        """The max-entropy probe's kernel at x: (L, grad L, y, f(y)).
+
+        L(x) = log tr e^{-Hs} is the log-partition function of e^{-Hs} / Z,
+        convex in x; for data that a state gives, L >= 0, and for a ground
+        (top) level L tends to 0 along +c (-c). One eigh of Hs = V diag(h) V^dag,
+        h ascending, gives, with E_ik = (V^dag B_i V)_kk and p = e^{h_0 - h} / sum,
+
+            L = -h_0 + log sum_k e^{h_0 - h_k},   grad_i = -sum_k p_k E_ik,
+
+        and, as Hs(t u)^2 = t^2 Hs(u)^2 for u = x / ||x||, f along the ray:
+        f(t u) = sum_i (E_i . q)^2 + sum_k q_k t^2 (h_k / ||x||)^2, q the
+        weights e^{-t^2 h^2 / ||x||^2} normalised. y is the point t u of least
+        f over t in RAY_SCALES; y and f(y) are None at x = 0.
+        """
+        x = require_vector("x", x, self.size)
+        b_flat = self._ops[0]
+        d = self.basis.dim
+        h, v = np.linalg.eigh((x @ b_flat).reshape(d, d))
+        e = ((b_flat.reshape(-1, d, d) @ v) * v.conj()).sum(axis=-2).real  # the diagonals of V^dag B_i V
+        w = np.exp(h[0] - h)
+        total = w.sum()
+        log_z, grad = math.log(total) - h[0], -(e @ w) / total
+        norm = math.sqrt(x.dot(x))
+        if norm == 0.0:
+            return log_z, grad, None, None
+        z = RAY_SCALES[:, None] ** 2 * (h / norm) ** 2  # the spectrum of Hs(t u)^2, one row a scale
+        q = np.exp(z.min(axis=1, keepdims=True) - z)
+        q /= q.sum(axis=1, keepdims=True)
+        f = ((q @ e.T) ** 2).sum(axis=1) + (q * z).sum(axis=1)
+        k = int(np.argmin(f))
+        return log_z, grad, (RAY_SCALES[k] / norm) * x, float(f[k])
 
     def diagnostics(self, x) -> Diagnostics:
         """Spectrum of Hs^2 and the ground-level Boltzmann weight

@@ -54,10 +54,10 @@ class SolveResult:
     x_opt: np.ndarray
     f_final: float
     grad_norm: float
-    restarts: int  # restarts used, the winning one included
-    iterations: int  # BFGS iterations over all restarts and hops
+    restarts: int  # restarts used, the winning one included; 0 when the probe won
+    iterations: int  # BFGS iterations over the probe and all restarts and hops
     converged: bool
-    gap_first_initial: float  # first positive gap of Hs^2 at x^(0) of the winning restart
+    gap_first_initial: float  # first positive gap of Hs^2 at x^(0) of the winning restart (x0 = 0 for the probe)
     gap_first_final: float
     ground_prob_final: float
 
@@ -280,16 +280,41 @@ def _hop_proposal(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return max(scale * xn, HOP_MIN_NORM) * prop / _norm(prop)
 
 
+def _probe(obj: ReconstructionObjective, cfg: SolveConfig) -> tuple:
+    """The max-entropy probe: one BFGS run on obj.log_partition from x = 0,
+    with no random draws. Returns the run's BfgsOutcome and the point it won
+    at, or None. It wins at the first evaluation whose best point y on the
+    ray through x has f(y) below cfg.eps, by the ray and by obj.value; the
+    answer (-inf, 0) there meets every line search's tests, and the zero
+    gradient ends the run, that step counted."""
+    won = []
+
+    def answer(x):
+        log_z, grad, y, f_y = obj.log_partition(x)
+        if f_y is not None and f_y < cfg.eps and obj.value(y) < cfg.eps:
+            won.append(y)
+            return -math.inf, np.zeros_like(grad)
+        return log_z, grad
+
+    outcome = _drive(_bfgs_steps(np.zeros(obj.size), cfg, -math.inf), answer)
+    return outcome, (won[0] if won else None)
+
+
 def _restart_steps(obj: ReconstructionObjective, cfg: SolveConfig):
-    """The restart/hop loop of solve_hamiltonian as a generator: yields the
-    start point and home of each BFGS run, is sent back the run's
-    BfgsOutcome, and returns the SolveResult. A restart has no home (None);
-    a hop's home is the chain's point (x, f), which it was proposed from."""
+    """The probe, then the restart/hop loop of solve_hamiltonian, as a
+    generator: yields the start point and home of each BFGS run, is sent
+    back the run's BfgsOutcome, and returns the SolveResult. A restart has no
+    home (None); a hop's home is the chain's point (x, f), which it was
+    proposed from. A row the probe wins yields nothing: it reports the
+    probe's point with restarts 0 and x0 = 0."""
+    probe, won = _probe(obj, cfg)
+    iterations = probe.iterations
+    restarts, best, best_x0 = 0, None, np.zeros(obj.size)  # best: (x, f, grad norm) of the best run
+    if won is not None:
+        best = (won, obj.value(won), _norm(obj.gradient(won)))
     rng = np.random.default_rng(cfg.seed)
-    best: Optional[BfgsOutcome] = None
-    best_x0 = None
-    iterations = 0
-    for restarts in range(1, cfg.max_restarts + 1):
+    while best is None or (best[1] >= cfg.eps and restarts < cfg.max_restarts):
+        restarts += 1
         x0 = rng.uniform(INIT_LOW, INIT_HIGH, obj.size)
         outcome = yield x0, None
         iterations += outcome.iterations
@@ -300,18 +325,17 @@ def _restart_steps(obj: ReconstructionObjective, cfg: SolveConfig):
             iterations += hop.iterations
             if hop.f < outcome.f:
                 outcome = hop
-        if best is None or outcome.f < best.f:
-            best, best_x0 = outcome, x0
-        if outcome.f < cfg.eps:
-            break
-    final = obj.diagnostics(best.x)
+        if best is None or outcome.f < best[1]:
+            best, best_x0 = (outcome.x, outcome.f, outcome.grad_norm), x0
+    x, f, grad_norm = best
+    final = obj.diagnostics(x)
     return SolveResult(
-        x_opt=best.x,
-        f_final=best.f,
-        grad_norm=best.grad_norm,
+        x_opt=x,
+        f_final=f,
+        grad_norm=grad_norm,
         restarts=restarts,
         iterations=iterations,
-        converged=bool(best.f < cfg.eps),
+        converged=bool(f < cfg.eps),
         gap_first_initial=first_positive_gap(obj.diagnostics(best_x0).spectrum),
         gap_first_final=first_positive_gap(final.spectrum),
         ground_prob_final=final.ground_prob,
@@ -319,7 +343,10 @@ def _restart_steps(obj: ReconstructionObjective, cfg: SolveConfig):
 
 
 def solve_hamiltonian(basis: OperatorBasis, a, cfg: Optional[SolveConfig] = None) -> SolveResult:
-    """Random-restart outer loop: BFGS from fresh uniform draws until f < eps.
+    """The max-entropy probe (_probe), then a random-restart outer loop:
+    BFGS from fresh uniform draws until f < eps. The probe solves most
+    ground- and top-level rows; it draws no random numbers, so a row it does
+    not win runs the same restarts and hops as without it.
 
     Each restart that stalls above the acceptance threshold is followed by a
     short monotone basin-hopping chain (HOPS_PER_RESTART proposals from

@@ -34,9 +34,10 @@ def timed(fn):
 ACCEPT_SOLVE = {"max_restarts": 150}
 
 # The suites run with threads=2, which gives the serial run's rows: the
-# d = 16 suites in lockstep, for less CPU, and the d = 128 suite on a pool of
-# two threads, for about half the wall time on two cores. Criterion 9 reruns
-# the generic suite serially and compares the bytes.
+# d = 16 suites in lockstep, for less CPU, and the d = 128 suite one row at a
+# time, as serially; the max-entropy probe solves its ground states in 44-51
+# evaluations a row. Criterion 9 reruns the generic suite serially and
+# compares the bytes.
 
 
 @pytest.fixture(scope="module")

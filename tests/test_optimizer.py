@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hamlearn import optimizer
+from hamlearn import harness, optimizer
+from hamlearn.harness import ExperimentConfig, run_experiment
 from hamlearn.objective import ReconstructionObjective
 from hamlearn.operators import OperatorBasis, basis_generic, check_measurement_range, eigenstate_measurements
 from hamlearn.optimizer import (
@@ -19,6 +20,7 @@ from hamlearn.optimizer import (
 )
 
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+SWEEP_SEED = 0  # a local_full n=3 level sweep
 
 
 class TestSolveConfig:
@@ -438,11 +440,15 @@ class TestSolveHamiltonian:
         assert result.gap_first_final > result.gap_first_initial
 
     def test_budget_exhaustion_reports(self, monkeypatch):
-        # 1 restart, 1 iteration: cannot converge, but must return a result
+        # 1 restart, 1 iteration: cannot converge, but must return a result.
+        # An interior level: the probe wins an edge level of one Pauli term
+        # in its first iteration
         monkeypatch.setattr(optimizer, "HOPS_PER_RESTART", 0)
-        basis = OperatorBasis(dim=2, terms=[PAULI_Z], labels=["z"])
+        rng = np.random.default_rng(311)
+        basis = basis_generic(4, 2, rng)
+        rec = eigenstate_measurements(basis, rng.uniform(0, 1, 2), 1)
         cfg = SolveConfig(seed=0, max_restarts=1, max_iters=1)
-        result = solve_hamiltonian(basis, [1.0], cfg)
+        result = solve_hamiltonian(basis, rec.a, cfg)
         assert not result.converged
         assert result.restarts == 1
 
@@ -526,3 +532,45 @@ class TestSolveHamiltonian:
         first, second = starts(1), starts(2)
         assert len(first) == cfg.max_restarts
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+class TestProbe:
+    @pytest.fixture
+    def probe_evaluations(self, monkeypatch) -> list:
+        """The x of every log_partition call the test makes, in order."""
+        calls = []
+        kernel = ReconstructionObjective.log_partition
+        monkeypatch.setattr(ReconstructionObjective, "log_partition", lambda obj, x: calls.append(x) or kernel(obj, x))
+        return calls
+
+    def test_wins_d128_ground_state(self, probe_evaluations):
+        # criterion 5's suite with one instance: a local_chain n=7 ground state
+        cfg = ExperimentConfig(
+            preset="local_chain", n_qubits=7, num_instances=1, seed=405, eigen_index_policy=0,
+            solve=SolveConfig(max_restarts=150),
+        )
+        (row,) = run_experiment(cfg, threads=2)
+        assert (row.restarts, row.converged, row.gap_first_initial) == (0, True, 0.0)
+        assert row.abs_fidelity > 0.9999
+        assert 0 < row.iterations < len(probe_evaluations) < 100
+
+    def test_wins_only_the_edges_of_a_level_sweep(self, probe_evaluations):
+        cfg = ExperimentConfig(preset="local_full", n_qubits=3, num_instances=1, seed=SWEEP_SEED, eigen_index_policy="all")
+        rows = run_experiment(cfg, threads=2)
+        assert [r.eigen_index for r in rows] == list(range(8))
+        assert [r.eigen_index for r in rows if r.restarts == 0] == [0, 7]
+        assert all(r.converged for r in rows)
+
+    def test_unwon_row_runs_as_without_probe(self, monkeypatch):
+        # an interior level: the probe draws no random numbers, so the
+        # restarts run as they run with no probe, and only iterations grow
+        cfg = ExperimentConfig(preset="local_full", n_qubits=3, num_instances=1, seed=SWEEP_SEED, eigen_index_policy="all")
+        basis, rec, solve_cfg = harness._start_row(cfg, 4, 0, 4)  # row 4: level 4, four restarts
+        probe, won = optimizer._probe(ReconstructionObjective(basis, rec.a), solve_cfg)
+        assert won is None and probe.iterations > 0
+        with_probe = solve_hamiltonian(basis, rec.a, solve_cfg)
+        monkeypatch.setattr(optimizer, "_probe", lambda obj, cfg: (probe._replace(iterations=0), None))
+        without = solve_hamiltonian(basis, rec.a, solve_cfg)
+        assert np.array_equal(with_probe.x_opt, without.x_opt)
+        assert (with_probe.f_final, with_probe.restarts) == (without.f_final, without.restarts)
+        assert with_probe.restarts > 0 and with_probe.iterations == without.iterations + probe.iterations

@@ -14,10 +14,11 @@ PACKAGE_DIR = Path(hamlearn.__file__).parent
 
 
 def test_import_and_narrow_suite_load_no_scipy_or_pool():
-    # scipy is only needed by frechet_exp's augmented_block route, and the
-    # thread pool's concurrent.futures only by suites of d > STACK_DIM_MAX
-    # rows at threads >= 2; loading either at package import, or on a
-    # narrow suite's path, would add its load time and memory to every run
+    # scipy is only needed by frechet_exp's augmented_block route, and no
+    # path starts a thread, so none loads concurrent.futures: not a narrow
+    # suite's lockstep worker, nor a wide suite's rows one at a time at
+    # threads >= 2. Loading either would add its load time and memory to
+    # every run
     path = [str(PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     code = (
@@ -25,6 +26,8 @@ def test_import_and_narrow_suite_load_no_scipy_or_pool():
         "from hamlearn.harness import ExperimentConfig, run_experiment\n"
         "cfg = ExperimentConfig(preset='generic', n_qubits=2, num_instances=2, seed=3, m_terms=2)\n"
         "assert len(run_experiment(cfg, threads=2)) == 2\n"
+        "wide = ExperimentConfig(preset='generic', n_qubits=5, num_instances=1, seed=3, m_terms=2)\n"
+        "assert len(run_experiment(wide, threads=2)) == 1\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

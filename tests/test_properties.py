@@ -12,11 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hamlearn import cli, linalg
+from hamlearn import cli, linalg, optimizer
 from hamlearn import objective as obj_mod
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_OK, main
 from hamlearn.metrics import hamiltonian_fidelity, recover_eigenstate, recover_eigenvalue
 from hamlearn.objective import ReconstructionObjective
+from hamlearn.optimizer import SolveConfig
 from hamlearn.operators import (
     OperatorBasis,
     assemble,
@@ -84,6 +85,30 @@ def test_density_matrix_is_a_state(inst):
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.array_equal(rho, rho.conj().T)
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(4, 16), st.integers(2, 4), st.floats(0.3, 3.0))
+def test_probe_finds_gibbs_coefficients(seed, d, m, beta):
+    # on a record measured on the Gibbs state e^{-beta H(c)} / Z, the probe's
+    # L has the one minimiser beta c (the terms and I are independent), so
+    # the probe, run to its own stop, returns it and wins nowhere: a check of
+    # its kernel, its gradient and its stop together. 1e-6 is five times the
+    # worst of 1,626 such records (1.9e-7). A state with more than 0.99 on
+    # one level is left out: its data can lie so close to that level's that
+    # the paper's f accepts them, and that is a win
+    rng = np.random.default_rng(seed)
+    basis = basis_generic(d, m, rng)
+    c = rng.uniform(0, 1, m)
+    w, u = np.linalg.eigh(assemble(basis, c))
+    p = np.exp(beta * (w[0] - w))
+    p /= p.sum()
+    assume(p[0] <= 0.99)
+    rho = (u * p) @ u.conj().T
+    a = [float(np.trace(t @ rho).real) for t in basis.terms]
+    outcome, won = optimizer._probe(ReconstructionObjective(basis, a), SolveConfig())
+    assert won is None
+    assert np.linalg.norm(outcome.x - beta * c) <= 1e-6 * np.linalg.norm(beta * c)
 
 
 @PROPERTY_SETTINGS
