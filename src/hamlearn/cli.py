@@ -19,6 +19,9 @@ EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
+# exp runs rows of d <= 16 in lockstep: the serial rows but wall_ms, for less CPU
+EXP_THREADS = 2
+
 
 def cmd_gen(args) -> int:
     """Write the basis and record of every row `exp` would solve, named by row id."""
@@ -67,7 +70,7 @@ def cmd_solve(args) -> int:
 def cmd_exp(args) -> int:
     cfg = ExperimentConfig.from_dict(read_json(args.config))
     _check_writable(args.out)
-    rows = run_experiment(cfg, threads=args.threads)
+    rows = run_experiment(cfg, threads=EXP_THREADS)
     write_rows(rows, args.out)
     print(json.dumps(summarize([r.to_json() for r in rows]), indent=2))
     if any(not r.converged for r in rows):
@@ -103,15 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("exp", help="run a full experiment suite")
     p_exp.add_argument("--config", required=True)
     p_exp.add_argument("--out", required=True, help="rows file")
-    p_exp.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="1 (default) solves one row at a time; any T >= 2 solves rows of d <= 16 "
-        "in lockstep on one worker, evaluating all their pending points in one "
-        "stacked call per step, and wider rows one at a time, as 1 does; no "
-        "thread is started, and rows are identical either way but wall_ms",
-    )
     p_exp.set_defaults(func=cmd_exp)
 
     p_sum = sub.add_parser("summarize", help="aggregate a JSONL result file")

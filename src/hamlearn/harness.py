@@ -296,13 +296,17 @@ def _lockstep_worker(cfg: ExperimentConfig, tasks: list) -> dict:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list:
     """Run the full suite; rows come back in instance-id order.
 
-    threads = 1 solves one row at a time. With threads >= 2, rows of
-    d <= STACK_DIM_MAX are solved by one lockstep worker (see
-    _lockstep_worker) in the calling thread, ROWS_IN_FLIGHT rows at a time:
-    a second worker would only contend for the GIL. Wider rows run one at a
-    time, as at threads = 1. No path starts a thread. The rows are the same
-    bits either way but wall_ms; an exception raised by any row is raised
-    here, the lowest row id's first, as the serial run raises it.
+    threads = 1 solves one row at a time. It is the serial reference that
+    criterion 9, the tests' lockstep-against-serial checks and perfbench's
+    serial workloads, traced pass and prefix call; it stays while
+    perfbench's tracer patches _run_row and the solver's functions by name.
+    With threads >= 2, as `hamlearn exp` runs, rows of d <= STACK_DIM_MAX
+    are solved by one lockstep worker (see _lockstep_worker) in the calling
+    thread, ROWS_IN_FLIGHT rows at a time: a second worker would only
+    contend for the GIL. Wider rows run one at a time, as at threads = 1.
+    No path starts a thread. The rows are the same bits either way but
+    wall_ms; an exception raised by any row is raised here, the lowest row
+    id's first, as the serial run raises it.
     """
     require_int("threads", threads, 1)
     tasks = _row_tasks(cfg)

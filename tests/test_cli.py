@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from hamlearn import cli
+from hamlearn import cli, harness
 from hamlearn.cli import EXIT_CONFIG_ERROR, EXIT_NOT_CONVERGED, EXIT_OK, main
-from hamlearn.harness import ResultRow
+from hamlearn.harness import ExperimentConfig, ResultRow, run_experiment
 from hamlearn.operators import MeasurementRecord, OperatorBasis, eigenstate_measurements, read_json
 from test_objective import nearly_hermitian_d256_basis
 
@@ -261,6 +261,36 @@ class TestExp:
         assert code == EXIT_OK
         assert len([l for l in out_path.read_text().splitlines() if l]) == 2
 
+    def test_path_follows_row_dimension(self, tmp_path, capsys, monkeypatch):
+        # exp solves d = 4 rows in lockstep, never with _run_row, and writes
+        # the serial rows but wall_ms; d = 32 rows run _run_row one at a time
+        def config(n_qubits, num_instances):
+            path = tmp_path / f"cfg{n_qubits}.json"
+            path.write_text(json.dumps({"preset": "generic", "n_qubits": n_qubits,
+                                        "num_instances": num_instances, "seed": 3, "m_terms": 2}))
+            return path
+
+        def without_wall(row: dict) -> dict:
+            return {k: v for k, v in row.items() if k != "wall_ms"}
+
+        narrow, out_path = config(2, 4), tmp_path / "rows.jsonl"
+        serial = [without_wall(r.to_json()) for r in run_experiment(ExperimentConfig.from_dict(read_json(narrow)))]
+        run_row_alone, calls = harness._run_row, []
+
+        def no_row(*args):
+            raise AssertionError("exp ran a d = 4 row alone")
+
+        def run_row(cfg, row_id, *args):
+            calls.append(row_id)
+            return run_row_alone(cfg, row_id, *args)
+
+        monkeypatch.setattr(harness, "_run_row", no_row)
+        assert main(["exp", "--config", str(narrow), "--out", str(out_path)]) == EXIT_OK
+        assert [without_wall(json.loads(l)) for l in out_path.read_text().splitlines()] == serial
+        monkeypatch.setattr(harness, "_run_row", run_row)
+        assert main(["exp", "--config", str(config(5, 2)), "--out", str(out_path)]) == EXIT_OK
+        assert calls == [0, 1]
+
     def test_not_converged_exits_2(self, tmp_path, exp_config, capsys):
         # one restart of one iteration solves neither row: exp still writes and
         # summarizes both, and exits with the "not converged" code
@@ -508,8 +538,9 @@ class TestErrors:
             (["--config", "{cfg}", "--seed", "4", "--out", "{out}"], "error: unrecognized arguments: --seed 4\n"),
             (["--out", "{out}"], "error: the following arguments are required: --config\n"),
             (["--config", "{cfg}", "--out", "{out}", "--format", "csv"], "error: unrecognized arguments: --format csv\n"),
+            (["--config", "{cfg}", "--out", "{out}", "--threads", "2"], "error: unrecognized arguments: --threads 2\n"),
         ],
-        ids=["removed_seed_flag", "no_config", "removed_format_flag"],
+        ids=["removed_seed_flag", "no_config", "removed_format_flag", "removed_threads_flag"],
     )
     def test_usage_error_exits_1(self, tmp_path, exp_config, capsys, args, message):
         # exit 2 is exp's "not converged", so a usage error exits 1
@@ -522,14 +553,6 @@ class TestErrors:
     def test_help_exits_0(self, capsys):
         assert main(["exp", "--help"]) == EXIT_OK
         assert "--config" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_exp_rejects_threads_below_one(self, tmp_path, exp_config, capsys, threads):
-        out_path = tmp_path / "rows.jsonl"
-        code = main(["exp", "--config", str(exp_config), "--out", str(out_path), "--threads", threads])
-        assert code == EXIT_CONFIG_ERROR
-        assert "threads must be >= 1" in capsys.readouterr().err
-        assert not out_path.exists()
 
     def test_solve_rejects_nan_measurement(self, tmp_path, exp_config, capsys):
         out_dir = tmp_path / "instances"

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +110,29 @@ def test_probe_finds_gibbs_coefficients(seed, d, m, beta):
     outcome, won = optimizer._probe(ReconstructionObjective(basis, a), SolveConfig())
     assert won is None
     assert np.linalg.norm(outcome.x - beta * c) <= 1e-6 * np.linalg.norm(beta * c)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(4, 16), st.integers(2, 4))
+def test_log_partition_kernel(seed, d, m):
+    # the probe's kernel on its own, at a random x: L = log tr e^{-Hs}
+    # against scipy, its gradient against central differences, L >= 0 for
+    # data a state gives, and the ray point's f against value. The bounds
+    # are 1e-12, 1e-6 and 1e-10; 300 such records reached 1.6e-14, 1.4e-9
+    # and 8.0e-13, with L down to 0.07
+    rng = np.random.default_rng(seed)
+    basis = basis_generic(d, m, rng)
+    rec = eigenstate_measurements(basis, rng.uniform(0, 1, m), int(rng.integers(d)))
+    x = rng.uniform(-3, 3, m)
+    obj = ReconstructionObjective(basis, rec.a)
+    log_z, grad, y, f_y = obj.log_partition(x)
+    ref = scipy.special.logsumexp(-np.linalg.eigvalsh(assemble(basis, x) - (x @ rec.a) * np.eye(d)))
+    assert abs(log_z - ref) <= 1e-12 * abs(ref)
+    h = 1e-5
+    fd = [(obj.log_partition(x + h * e)[0] - obj.log_partition(x - h * e)[0]) / (2 * h) for e in np.eye(m)]
+    assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+    assert log_z >= 0.0
+    assert abs(f_y - obj.value(y)) <= 1e-10
 
 
 @PROPERTY_SETTINGS
